@@ -18,7 +18,6 @@
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
 #include "core/global_state.h"
-#include "core/mention_extractor.h"
 #include "core/syntactic_embedder.h"
 #include "obs/metrics.h"
 #include "nn/kernels/kernels.h"
@@ -85,14 +84,18 @@ BENCHMARK(BM_CTrieLookup);
 
 void BM_MentionExtraction(benchmark::State& state) {
   const auto tweets = BenchTweets(static_cast<int>(state.range(0)));
-  CTrie trie;
+  ShardedGlobalState global(1);
   for (const auto& t : tweets) {
-    for (const auto& g : t.gold) trie.Insert(t.tokens, g.span);
+    for (const auto& g : t.gold) global.Insert(t.tokens, g.span);
   }
-  MentionExtractor extractor(&trie);
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> mentions;
   for (auto _ : state) {
     size_t found = 0;
-    for (const auto& t : tweets) found += extractor.Extract(t.tokens).size();
+    for (const auto& t : tweets) {
+      global.ExtractInto(t.tokens, &scratch, &mentions);
+      found += mentions.size();
+    }
     benchmark::DoNotOptimize(found);
   }
   state.SetItemsProcessed(state.iterations() * tweets.size());

@@ -52,10 +52,13 @@ double SecondsSince(Clock::time_point start) {
 // (the per-token GEMM density of real encoder inference: QKV + output + FFN
 // projections per layer) and capitalized-run mention detection. Inference
 // reads only the frozen weights, so one instance is safely shared across all
-// worker lanes.
+// worker lanes. `batch_capable` = false hides the ProcessBatched override
+// from the Globalizer, so the per-tweet resilient local path runs instead of
+// the planner.
 class SyntheticDeepSystem : public LocalEmdSystem {
  public:
-  explicit SyntheticDeepSystem(int dim) : dim_(dim) {
+  SyntheticDeepSystem(int dim, bool batch_capable)
+      : dim_(dim), batch_capable_(batch_capable) {
     Rng rng(1234);
     for (Mat& w : weights_) {
       w = Mat(dim_, dim_);
@@ -79,7 +82,7 @@ class SyntheticDeepSystem : public LocalEmdSystem {
     return result;
   }
 
-  bool batch_capable() const override { return true; }
+  bool batch_capable() const override { return batch_capable_; }
 
   /// Token-batched inference: the token rows of every tweet in the slot are
   /// packed into one matrix and pushed through the projection chain as single
@@ -152,6 +155,7 @@ class SyntheticDeepSystem : public LocalEmdSystem {
   }
 
   int dim_;
+  bool batch_capable_;
   Mat weights_[4];
 };
 
@@ -195,16 +199,15 @@ struct PipelineRun {
 };
 
 PipelineRun RunPipeline(const std::vector<AnnotatedTweet>& tweets, int dim,
-                        int threads, size_t batch_size, bool token_batching,
+                        int threads, size_t batch_size, bool batch_capable,
                         int shards = 1,
                         ShardedGlobalState::MatcherKind matcher =
                             ShardedGlobalState::MatcherKind::kAuto) {
-  SyntheticDeepSystem system(dim);
+  SyntheticDeepSystem system(dim, batch_capable);
   PhraseEmbedder pe(dim, dim / 2);
   GlobalizerOptions opt;
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.num_threads = threads;
-  opt.token_batching = token_batching;
   opt.shard_count = shards;
   opt.matcher = matcher;
   Globalizer g(&system, &pe, nullptr, opt);
@@ -281,11 +284,12 @@ int main(int argc, char** argv) {
   reporter.Add(std::string("kernel_backend/") + emd::kernels::BackendName(), 1,
                0, 0, "");
 
-  // Baseline: per-tweet local stage (token batching off), single thread.
-  // Every other configuration is digest-checked against it: neither thread
-  // count nor the forward-pass planner may change a single mention span.
+  // Baseline: per-tweet local stage (system not batch-capable), single
+  // thread. Every other configuration is digest-checked against it: neither
+  // thread count nor the forward-pass planner may change a single mention
+  // span.
   const emd::PipelineRun unbatched =
-      emd::RunPipeline(tweets, dim, 1, batch_size, /*token_batching=*/false);
+      emd::RunPipeline(tweets, dim, 1, batch_size, /*batch_capable=*/false);
   const uint64_t serial_digest = unbatched.digest;
   std::printf("  batching=off threads=1  %8.1f tweets/sec  (%.3fs, %d candidates)\n",
               unbatched.tweets_per_sec, unbatched.seconds,
@@ -298,7 +302,7 @@ int main(int argc, char** argv) {
   for (int threads : thread_counts) {
     const emd::PipelineRun run =
         emd::RunPipeline(tweets, dim, threads, batch_size,
-                         /*token_batching=*/true);
+                         /*batch_capable=*/true);
     if (run.digest != serial_digest) {
       std::fprintf(stderr,
                    "FAIL: batched %d-thread output digest %016llx != "
@@ -348,7 +352,7 @@ int main(int argc, char** argv) {
           const uint64_t steps0 = steps_counter->value();
           const uint64_t probes0 = probes_counter->value();
           const emd::PipelineRun run = emd::RunPipeline(
-              tweets, dim, threads, batch_size, /*token_batching=*/true,
+              tweets, dim, threads, batch_size, /*batch_capable=*/true,
               shards, m.kind);
           const double steps_per_token =
               static_cast<double>(steps_counter->value() - steps0) /
@@ -402,7 +406,9 @@ int main(int argc, char** argv) {
     double best = 1e100;
     for (int r = 0; r < reps; ++r) {
       best = std::min(
-          best, emd::RunPipeline(tweets, dim, 1, batch_size, true).seconds);
+          best, emd::RunPipeline(tweets, dim, 1, batch_size,
+                                 /*batch_capable=*/true)
+                    .seconds);
     }
     return best;
   };

@@ -134,7 +134,7 @@ if [[ "$KERNELS" == 1 ]]; then
   # dispatched backend must never be slower than the scalar blocked kernel
   # (when it is not the scalar kernel itself).
   ctest --test-dir build --output-on-failure -L kernels
-  EMD_FORCE_SCALAR=1 ctest --test-dir build --output-on-failure -L kernels
+  EMD_BACKEND=scalar ctest --test-dir build --output-on-failure -L kernels
   (cd build/bench && ./bench_micro_core --gemm-only)
   if command -v python3 >/dev/null; then
     python3 - <<'EOF'

@@ -8,7 +8,6 @@
 #include "nn/optimizer.h"
 #include "nn/params.h"
 #include "nn/serialize.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -66,28 +65,11 @@ float EntityClassifier::Forward(const Mat& features) const {
 }
 
 float EntityClassifier::Probability(const Mat& features) const {
-  return Forward(features);
-}
-
-float EntityClassifier::Probability(const Mat& features,
-                                    InferScratch* scratch) const {
-  EMD_CHECK_EQ(features.cols(), options_.input_dim);
-  const auto& kern = kernels::Kernels();
-  // Standardize into the first ping-pong buffer.
-  Mat* x = &scratch->a;
-  Mat* y = &scratch->b;
-  x->Resize(1, features.cols());
-  for (int j = 0; j < features.cols(); ++j) {
-    (*x)(0, j) = (features(0, j) - feat_mean_(0, j)) / feat_std_(0, j);
-  }
-  for (size_t l = 0; l < hidden_.size(); ++l) {
-    hidden_[l]->ApplyAuto(*x, &scratch->qs, y);
-    // Maskless in-place ReLU: inference needs no backward mask.
-    kern.relu(y->data(), y->data(), nullptr, static_cast<int>(y->size()));
-    std::swap(x, y);
-  }
-  out_->ApplyAuto(*x, &scratch->qs, y);
-  return SigmoidScalar((*y)(0, 0));
+  EMD_CHECK_EQ(features.rows(), 1);
+  ForwardArena arena;
+  std::vector<float> p;
+  ProbabilitiesBatched(features, &arena, &p);
+  return p[0];
 }
 
 void EntityClassifier::ProbabilitiesBatched(
@@ -124,37 +106,14 @@ void EntityClassifier::PrepareQuantizedInference() {
   out_->PrepareQuantized();
 }
 
-CandidateLabel EntityClassifier::Classify(const Mat& features) const {
-  const float p = Probability(features);
-  if (p >= options_.alpha) return CandidateLabel::kEntity;
-  if (p <= options_.beta) return CandidateLabel::kNonEntity;
+CandidateLabel EntityClassifier::LabelFor(float probability) const {
+  if (probability >= options_.alpha) return CandidateLabel::kEntity;
+  if (probability <= options_.beta) return CandidateLabel::kNonEntity;
   return CandidateLabel::kAmbiguous;
 }
 
-Result<EntityClassifier::Verdict> EntityClassifier::TryEvaluate(
-    const Mat& features) const {
-  InferScratch scratch;
-  return TryEvaluate(features, &scratch);
-}
-
-Result<EntityClassifier::Verdict> EntityClassifier::TryEvaluate(
-    const Mat& features, InferScratch* scratch) const {
-  EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.entity_classifier.classify"));
-  if (features.rows() != 1 || features.cols() != options_.input_dim) {
-    return Status::InvalidArgument("classifier feature shape [", features.rows(),
-                                   ", ", features.cols(), "], want [1, ",
-                                   options_.input_dim, "]");
-  }
-  Verdict v;
-  v.probability = Probability(features, scratch);
-  if (v.probability >= options_.alpha) {
-    v.label = CandidateLabel::kEntity;
-  } else if (v.probability <= options_.beta) {
-    v.label = CandidateLabel::kNonEntity;
-  } else {
-    v.label = CandidateLabel::kAmbiguous;
-  }
-  return v;
+CandidateLabel EntityClassifier::Classify(const Mat& features) const {
+  return LabelFor(Probability(features));
 }
 
 EntityClassifierTrainReport EntityClassifier::Train(

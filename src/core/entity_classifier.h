@@ -18,7 +18,6 @@
 #include "nn/linear.h"
 #include "nn/matrix.h"
 #include "nn/planner.h"
-#include "util/result.h"
 #include "util/status.h"
 
 namespace emd {
@@ -73,47 +72,26 @@ class EntityClassifier {
   static void MakeFeaturesInto(const Mat& global_embedding, int num_tokens,
                                Mat* out);
 
-  /// Reusable per-worker inference scratch: the two ping-pong activation
-  /// buffers of the maskless forward pass.
-  struct InferScratch {
-    Mat a, b;
-    QuantizedLinear::Scratch qs;
-  };
-
-  /// P(candidate is an entity).
+  /// P(candidate is an entity) for one feature row, through the inference
+  /// path of ProbabilitiesBatched (no activation caching, so it is safe for
+  /// concurrent callers sharing one trained classifier).
   float Probability(const Mat& features) const;
 
-  /// Allocation-recycling Probability: inference-only forward through
-  /// Linear::Apply and a maskless ReLU kernel — no activation caching, so it
-  /// is safe for concurrent workers sharing one trained classifier.
-  float Probability(const Mat& features, InferScratch* scratch) const;
+  /// The alpha/beta verdict for an entity probability.
+  CandidateLabel LabelFor(float probability) const;
 
-  /// Thresholded verdict.
+  /// Thresholded verdict: LabelFor(Probability(features)).
   CandidateLabel Classify(const Mat& features) const;
-
-  /// Probability plus thresholded verdict in one forward pass.
-  struct Verdict {
-    float probability = 0.f;
-    CandidateLabel label = CandidateLabel::kUnlabeled;
-  };
-
-  /// Fault-isolating classification: validates the feature shape
-  /// (kInvalidArgument instead of a fatal check) and honors the
-  /// "core.entity_classifier.classify" failpoint. The Globalizer degrades
-  /// kFull to mention-extraction for the remaining cycle when this fails.
-  Result<Verdict> TryEvaluate(const Mat& features) const;
-
-  /// TryEvaluate with caller-owned scratch (hot path in Globalizer cycles).
-  Result<Verdict> TryEvaluate(const Mat& features, InferScratch* scratch) const;
 
   /// Arena slots used by ProbabilitiesBatched (above the planner ranges of
   /// MiniBertweet, 0..20, and PhraseEmbedder, 24).
   static constexpr int kArenaSlot = 26;
 
-  /// Planner batched inference: one fused forward over [C, input_dim]
-  /// feature rows, probabilities[i] bit-identical (fp32) to
-  /// Probability(features row i) — every layer computes each output row from
-  /// its own input row alone. No failpoint; callers pre-screen resilience.
+  /// Batched inference: one fused forward over [C, input_dim] feature rows;
+  /// probabilities[i] depends on row i alone (every layer computes each
+  /// output row from its own input row), so it is bit-identical to scoring
+  /// that row by itself. No failpoint; the Globalizer wraps this call in its
+  /// resilience policy.
   void ProbabilitiesBatched(const Mat& features, ForwardArena* arena,
                             std::vector<float>* probabilities) const;
 

@@ -28,7 +28,6 @@
 
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
-#include "core/mention_extractor.h"
 #include "core/shard_router.h"
 #include "text/symbol_table.h"
 #include "text/token.h"
@@ -38,6 +37,17 @@ namespace emd {
 namespace obs {
 class Gauge;
 }  // namespace obs
+
+/// One candidate mention found by the re-scan of §V-A: a token span and the
+/// gid of the candidate it matches.
+struct ExtractedMention {
+  TokenSpan span;
+  int candidate_id = CTrie::kNoCandidate;
+
+  bool operator==(const ExtractedMention& o) const {
+    return span == o.span && candidate_id == o.candidate_id;
+  }
+};
 
 /// Location of a gid inside the shard set.
 struct GidRef {

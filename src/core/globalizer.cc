@@ -51,6 +51,29 @@ const PipelineCounters& Counters() {
   return counters;
 }
 
+/// The TweetBase record of `tweet`. Given its Local EMD result, the record
+/// takes the token embeddings and every non-empty, in-range local span as a
+/// seed mention; given none (nullptr), it is the quarantined placeholder.
+TweetRecord MakeRecord(const AnnotatedTweet& tweet, LocalEmdResult* local) {
+  TweetRecord record;
+  record.tweet_id = tweet.tweet_id;
+  record.sentence_id = tweet.sentence_id;
+  record.tokens = tweet.tokens;
+  if (local == nullptr) {
+    record.quarantined = true;
+    return record;
+  }
+  record.token_embeddings = std::move(local->token_embeddings);
+  for (const TokenSpan& span : local->mentions) {
+    if (span.begin >= span.end || span.end > tweet.tokens.size()) continue;
+    RecordedMention m;
+    m.span = span;
+    m.locally_detected = true;
+    record.mentions.push_back(m);
+  }
+  return record;
+}
+
 }  // namespace
 
 std::string GlobalizerOutput::ResilienceSummary() const {
@@ -100,72 +123,6 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
   if (options_.mode == GlobalizerOptions::Mode::kFull) {
     EMD_CHECK(classifier != nullptr) << "full mode requires an Entity Classifier";
   }
-}
-
-Mat Globalizer::LocalEmbedding(const TweetRecord& record, const TokenSpan& span) {
-  int retries = 0, degraded = 0;
-  Mat emb = LocalEmbeddingWith(record, span, &retry_rng_, &serial_embed_scratch_,
-                               &retries, &degraded);
-  num_retries_ += retries;
-  num_degraded_ += degraded;
-  if (retries > 0) Counters().retries->Increment(retries);
-  if (degraded > 0) Counters().degraded->Increment(degraded);
-  return emb;
-}
-
-Mat Globalizer::LocalEmbeddingWith(const TweetRecord& record,
-                                   const TokenSpan& span, Rng* rng,
-                                   PhraseEmbedder::Scratch* scratch,
-                                   int* retries, int* degraded) const {
-  EMD_TRACE_SPAN("phrase_embed");
-  if (!system_->is_deep()) {
-    return SyntacticEmbedding(record.tokens, span);
-  }
-  // A deep primary whose tweet was actually processed by a non-deep fallback
-  // has no token embeddings; the mention survives with no embedding
-  // contribution (same contract as the empty-pool branch below).
-  if (record.token_embeddings.empty()) return Mat();
-  RetryStats retry_stats;
-  Result<Mat> embedded = RunWithRetry(
-      options_.resilience.phrase_embedder, clock_, rng,
-      [&] {
-        return phrase_embedder_->TryEmbed(record.token_embeddings, span,
-                                          scratch);
-      },
-      &retry_stats);
-  *retries += retry_stats.retries;
-  if (embedded.ok()) return std::move(embedded).value();
-
-  // Degradation ladder, rung 1: the Entity Phrase Embedder is unavailable, so
-  // pool the raw entity-aware token embeddings directly (Eq. 1 without the
-  // dense projection of Eq. 2), fitted to the candidate embedding width.
-  ++*degraded;
-  EMD_LOG(Warn) << "phrase embedder failed (" << embedded.status()
-                << "); degrading to mean-pooled token embeddings";
-  const Mat& tok = record.token_embeddings;
-  const int out_dim = phrase_embedder_->out_dim();
-  if (tok.empty() || span.begin >= span.end ||
-      span.end > static_cast<size_t>(tok.rows())) {
-    return Mat();  // no embedding contribution; the mention itself survives
-  }
-  Mat pooled(1, out_dim);
-  const int copy_dim = std::min(out_dim, tok.cols());
-  for (size_t t = span.begin; t < span.end; ++t) {
-    const float* row = tok.row(static_cast<int>(t));
-    for (int j = 0; j < copy_dim; ++j) pooled(0, j) += row[j];
-  }
-  pooled.Scale(1.f / static_cast<float>(span.length()));
-  return pooled;
-}
-
-Result<LocalEmdResult> Globalizer::LocalEmdWithResilience(
-    const AnnotatedTweet& tweet, bool* via_fallback) {
-  int retries = 0;
-  Result<LocalEmdResult> result =
-      LocalEmdResilient(tweet, system_, &retry_rng_, &retries, via_fallback);
-  num_retries_ += retries;
-  if (retries > 0) Counters().retries->Increment(retries);
-  return result;
 }
 
 Result<LocalEmdResult> Globalizer::LocalEmdResilient(const AnnotatedTweet& tweet,
@@ -267,30 +224,14 @@ void Globalizer::EnsurePool() {
 void Globalizer::RunLocalStage(const AnnotatedTweet& tweet,
                                LocalEmdSystem* primary, size_t tweet_index,
                                LocalStage* out) {
-  out->record.tweet_id = tweet.tweet_id;
-  out->record.sentence_id = tweet.sentence_id;
-  out->record.tokens = tweet.tokens;
-
   Rng rng = TaskRng(tweet_index);
   Result<LocalEmdResult> local = LocalEmdResilient(
       tweet, primary, &rng, &out->retries, &out->via_fallback);
-  if (!local.ok()) {
-    out->status = local.status();
-    out->record.quarantined = true;
-    return;
-  }
-  out->record.token_embeddings = std::move(local->token_embeddings);
-  for (const TokenSpan& span : local->mentions) {
-    if (span.begin >= span.end || span.end > tweet.tokens.size()) continue;
-    RecordedMention m;
-    m.span = span;
-    m.locally_detected = true;
-    out->record.mentions.push_back(m);
-  }
+  if (!local.ok()) out->status = local.status();
+  out->record = MakeRecord(tweet, local.ok() ? &local.value() : nullptr);
 }
 
 bool Globalizer::BatchedLocalEligible(int lanes, size_t batch_size) {
-  if (!options_.token_batching) return false;
   if (options_.resilience.local_deadline_nanos != 0) return false;
   if (failpoint::AnyArmed()) return false;
   const int chunks =
@@ -346,17 +287,7 @@ void Globalizer::RunLocalStageBatched(std::span<const AnnotatedTweet> batch,
       const AnnotatedTweet& tweet = batch[lo + r];
       LocalEmdResult& local = results[c][r];
       LocalStage stage;
-      stage.record.tweet_id = tweet.tweet_id;
-      stage.record.sentence_id = tweet.sentence_id;
-      stage.record.tokens = tweet.tokens;
-      stage.record.token_embeddings = std::move(local.token_embeddings);
-      for (const TokenSpan& span : local.mentions) {
-        if (span.begin >= span.end || span.end > tweet.tokens.size()) continue;
-        RecordedMention m;
-        m.span = span;
-        m.locally_detected = true;
-        stage.record.mentions.push_back(m);
-      }
+      stage.record = MakeRecord(tweet, &local);
       {
         std::lock_guard<std::mutex> lock(breaker_mu_);
         breaker_.AllowRequest();
@@ -390,6 +321,90 @@ void Globalizer::MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage) 
   tweets_.Add(std::move(stage.record));
 }
 
+void Globalizer::EmbedMentions(const TweetRecord& record, size_t tweet_index,
+                               ForwardArena* arena, ExtractStage* stage) const {
+  const std::vector<ExtractedMention>& extracted = stage->extracted;
+  if (extracted.empty()) return;
+  EMD_TRACE_SPAN("phrase_embed");
+  stage->embeddings.reserve(extracted.size());
+  if (!system_->is_deep()) {
+    for (const ExtractedMention& em : extracted) {
+      stage->embeddings.push_back(SyntacticEmbedding(record.tokens, em.span));
+    }
+    return;
+  }
+  // A deep primary whose tweet was actually processed by a non-deep fallback
+  // has no token embeddings; its mentions survive with no embedding
+  // contribution.
+  const Mat& tok = record.token_embeddings;
+  if (tok.empty()) {
+    stage->embeddings.resize(extracted.size());
+    return;
+  }
+  std::vector<TokenSpan> spans;
+  spans.reserve(extracted.size());
+  for (const ExtractedMention& em : extracted) spans.push_back(em.span);
+  const size_t rows = static_cast<size_t>(tok.rows());
+  Mat* fused = arena->mat(PhraseEmbedder::kArenaSlot + 1);
+  Rng rng = TaskRng(tweet_index);
+  RetryStats retry_stats;
+  const Status embedded = RunWithRetry(
+      options_.resilience.phrase_embedder, clock_, &rng,
+      [&]() -> Status {
+        EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.phrase_embedder.embed"));
+        for (const TokenSpan& span : spans) {
+          if (span.begin >= span.end || span.end > rows) {
+            return Status::InvalidArgument("phrase embedder span [",
+                                           span.begin, ", ", span.end,
+                                           ") out of range for ", rows,
+                                           " tokens");
+          }
+        }
+        if (tok.cols() != phrase_embedder_->in_dim()) {
+          return Status::InvalidArgument("phrase embedder dim mismatch: got ",
+                                         tok.cols(), ", want ",
+                                         phrase_embedder_->in_dim());
+        }
+        phrase_embedder_->EmbedSpansInto(tok, spans, arena, fused);
+        return Status::OK();
+      },
+      &retry_stats);
+  stage->retries += retry_stats.retries;
+  if (embedded.ok()) {
+    for (size_t e = 0; e < spans.size(); ++e) {
+      Mat emb(1, fused->cols());
+      std::memcpy(emb.row(0), fused->row(static_cast<int>(e)),
+                  sizeof(float) * fused->cols());
+      stage->embeddings.push_back(std::move(emb));
+    }
+    return;
+  }
+
+  // Degradation ladder, rung 1: the Entity Phrase Embedder is unavailable, so
+  // pool each span's raw entity-aware token embeddings directly (Eq. 1
+  // without the dense projection of Eq. 2), fitted to the candidate
+  // embedding width.
+  EMD_LOG(Warn) << "phrase embedder failed (" << embedded
+                << "); degrading to mean-pooled token embeddings";
+  const int out_dim = phrase_embedder_->out_dim();
+  const int copy_dim = std::min(out_dim, tok.cols());
+  for (const TokenSpan& span : spans) {
+    ++stage->degraded;
+    if (span.begin >= span.end || span.end > rows) {
+      // No embedding contribution; the mention itself survives.
+      stage->embeddings.emplace_back();
+      continue;
+    }
+    Mat pooled(1, out_dim);
+    for (size_t t = span.begin; t < span.end; ++t) {
+      const float* row = tok.row(static_cast<int>(t));
+      for (int j = 0; j < copy_dim; ++j) pooled(0, j) += row[j];
+    }
+    pooled.Scale(1.f / static_cast<float>(span.length()));
+    stage->embeddings.push_back(std::move(pooled));
+  }
+}
+
 Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.globalizer.process_batch"));
   // A new execution cycle re-attempts components that degraded last cycle.
@@ -400,12 +415,12 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
 
   // ---- Step 1: Local EMD. ----
   //
-  // Serial path: one sentence at a time, exactly the pre-parallel pipeline
-  // (shared retry RNG, breaker escalation between consecutive tweets).
-  // Parallel path: tweets are staged across worker lanes with no shared
-  // mutation (the breaker is mutex-guarded), then folded into the TweetBase
-  // by a single-threaded merge in tweet order — the merge is the
-  // determinism barrier that keeps parallel output identical to serial.
+  // The planner path batches whole lane chunks through ProcessBatched when
+  // nothing can fail per tweet (see BatchedLocalEligible). Otherwise each
+  // tweet runs under the resilience ladder, fanned across worker lanes when
+  // the system allows it, else in order on this thread. Either way results
+  // are folded into the TweetBase by a single-threaded merge in tweet order
+  // — the determinism barrier that keeps output identical at any lane count.
   const int lanes = LocalLanes();
   last_local_lanes_ = (batch.size() > 1) ? lanes : 1;
   {
@@ -413,39 +428,17 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
     EMD_TRACE_SPAN("local_emd");
     if (BatchedLocalEligible(lanes, batch.size())) {
       RunLocalStageBatched(batch, lanes);
-    } else if (lanes > 1 && batch.size() > 1) {
+    } else {
+      const bool fan_out = lanes > 1 && batch.size() > 1;
       std::vector<LocalStage> staged(batch.size());
-      pool_->ParallelFor(batch.size(), [&](int slot, size_t i) {
-        RunLocalStage(batch[i], LaneSystem(slot), first_index + i, &staged[i]);
-      });
+      ParallelForOrSerial(
+          fan_out ? pool_.get() : nullptr, batch.size(),
+          [&](int slot, size_t i) {
+            RunLocalStage(batch[i], fan_out ? LaneSystem(slot) : system_,
+                          first_index + i, &staged[i]);
+          });
       for (size_t i = 0; i < batch.size(); ++i) {
         MergeLocalStage(batch[i], std::move(staged[i]));
-      }
-    } else {
-      for (size_t i = 0; i < batch.size(); ++i) {
-        LocalStage stage;
-        const AnnotatedTweet& tweet = batch[i];
-        stage.record.tweet_id = tweet.tweet_id;
-        stage.record.sentence_id = tweet.sentence_id;
-        stage.record.tokens = tweet.tokens;
-        Result<LocalEmdResult> local =
-            LocalEmdWithResilience(tweet, &stage.via_fallback);
-        if (!local.ok()) {
-          stage.status = local.status();
-          stage.record.quarantined = true;
-        } else {
-          stage.record.token_embeddings = std::move(local->token_embeddings);
-          for (const TokenSpan& span : local->mentions) {
-            if (span.begin >= span.end || span.end > tweet.tokens.size()) {
-              continue;
-            }
-            RecordedMention m;
-            m.span = span;
-            m.locally_detected = true;
-            stage.record.mentions.push_back(m);
-          }
-        }
-        MergeLocalStage(tweet, std::move(stage));
       }
     }
   }
@@ -478,24 +471,9 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   // so this stage fans out per tweet regardless of the local system.
   const size_t count = tweets_.size() - first_index;
   std::vector<ExtractStage> staged(count);
-  // Per-worker reusable phrase-embedder scratch, indexed by pool slot so no
-  // two concurrent tasks share a buffer.
-  std::vector<PhraseEmbedder::Scratch> embed_scratch(
-      std::max(1, options_.num_threads));
-  // Planner fast path for this stage: all of one tweet's mention spans pool
-  // into one fused phrase-embedder GEMM (row i bit-identical to the
-  // per-mention path). Falls back per tweet when its embeddings/spans fail
-  // validation, and entirely when a failpoint is armed.
-  const bool batch_embed = options_.token_batching && system_->is_deep() &&
-                           phrase_embedder_ != nullptr && !failpoint::AnyArmed();
-  if (static_cast<size_t>(std::max(1, options_.num_threads)) >
-      lane_arenas_.size()) {
-    lane_arenas_.resize(std::max(1, options_.num_threads));
-  }
-  if (static_cast<size_t>(std::max(1, options_.num_threads)) >
-      scan_scratch_.size()) {
-    scan_scratch_.resize(std::max(1, options_.num_threads));
-  }
+  const size_t slots = static_cast<size_t>(std::max(1, options_.num_threads));
+  if (lane_arenas_.size() < slots) lane_arenas_.resize(slots);
+  if (scan_scratch_.size() < slots) scan_scratch_.resize(slots);
   ParallelForOrSerial(
       options_.num_threads > 1 ? pool_.get() : nullptr, count,
       [&](int slot, size_t idx) {
@@ -504,43 +482,7 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
         ExtractStage& stage = staged[idx];
         state_.ExtractInto(record.tokens, &scan_scratch_[slot],
                            &stage.extracted);
-        stage.embeddings.reserve(stage.extracted.size());
-        if (batch_embed && !stage.extracted.empty() &&
-            record.token_embeddings.cols() == phrase_embedder_->in_dim()) {
-          const size_t rows =
-              static_cast<size_t>(record.token_embeddings.rows());
-          bool spans_ok = true;
-          for (const ExtractedMention& em : stage.extracted) {
-            if (em.span.begin >= em.span.end || em.span.end > rows) {
-              spans_ok = false;
-              break;
-            }
-          }
-          if (spans_ok) {
-            ForwardArena* arena = &lane_arenas_[slot];
-            std::vector<TokenSpan> span_list;
-            span_list.reserve(stage.extracted.size());
-            for (const ExtractedMention& em : stage.extracted) {
-              span_list.push_back(em.span);
-            }
-            Mat* fused = arena->mat(PhraseEmbedder::kArenaSlot + 1);
-            phrase_embedder_->EmbedSpansInto(record.token_embeddings, span_list,
-                                             arena, fused);
-            for (size_t e = 0; e < span_list.size(); ++e) {
-              Mat emb(1, fused->cols());
-              std::memcpy(emb.row(0), fused->row(static_cast<int>(e)),
-                          sizeof(float) * fused->cols());
-              stage.embeddings.push_back(std::move(emb));
-            }
-            return;
-          }
-        }
-        Rng rng = TaskRng(first_index + idx);
-        for (const ExtractedMention& em : stage.extracted) {
-          stage.embeddings.push_back(
-              LocalEmbeddingWith(record, em.span, &rng, &embed_scratch[slot],
-                                 &stage.retries, &stage.degraded));
-        }
+        EmbedMentions(record, first_index + idx, &lane_arenas_[slot], &stage);
       });
 
   // Shard-aware deterministic merge barrier. Phase A walks the batch in
@@ -628,36 +570,83 @@ Status Globalizer::ProcessBatch(std::span<const AnnotatedTweet> batch) {
   return Status::OK();
 }
 
+Status Globalizer::ScoreCandidates(const std::vector<int>& gids,
+                                   std::vector<float>* probabilities) {
+  probabilities->clear();
+  if (gids.empty()) return Status::OK();
+  if (lane_arenas_.empty()) lane_arenas_.resize(1);
+  ForwardArena* arena = &lane_arenas_[0];
+  const int fdim = classifier_->input_dim();
+  Mat* features = arena->mat(EntityClassifier::kArenaSlot + 2);
+  features->Resize(static_cast<int>(gids.size()), fdim);
+  int bad_width = -1;
+  for (size_t k = 0; k < gids.size(); ++k) {
+    const CandidateRecord& rec = state_.at(gids[k]);
+    EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
+                                       &classifier_features_);
+    if (classifier_features_.cols() != fdim) {
+      bad_width = classifier_features_.cols();
+      break;
+    }
+    std::memcpy(features->row(static_cast<int>(k)),
+                classifier_features_.row(0), sizeof(float) * fdim);
+  }
+  RetryStats retry_stats;
+  const Status scored = RunWithRetry(
+      options_.resilience.classifier, clock_, &retry_rng_,
+      [&]() -> Status {
+        EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.entity_classifier.classify"));
+        if (bad_width >= 0) {
+          return Status::InvalidArgument("classifier feature width ",
+                                         bad_width, ", want ", fdim);
+        }
+        classifier_->ProbabilitiesBatched(*features, arena, probabilities);
+        return Status::OK();
+      },
+      &retry_stats);
+  num_retries_ += retry_stats.retries;
+  if (retry_stats.retries > 0) {
+    Counters().retries->Increment(retry_stats.retries);
+  }
+  return scored;
+}
+
+CandidateLabel Globalizer::Label(float p, int evidence) const {
+  const CandidateLabel label = classifier_->LabelFor(p);
+  if (label == CandidateLabel::kNonEntity &&
+      evidence < options_.min_evidence_mentions &&
+      p > options_.low_evidence_beta) {
+    return CandidateLabel::kAmbiguous;
+  }
+  return label;
+}
+
 size_t Globalizer::ReclassifyAmbiguous() {
   if (options_.mode != GlobalizerOptions::Mode::kFull || classifier_ == nullptr) {
     return 0;
   }
   EMD_TRACE_SPAN("reclassify");
-  size_t flipped = 0;
+  std::vector<int> gids;
   for (int id = 0; id < state_.num_candidates(); ++id) {
     if (!state_.Contains(id)) continue;
-    CandidateRecord& rec = state_.at(id);
-    if (rec.label != CandidateLabel::kAmbiguous &&
-        rec.label != CandidateLabel::kUnlabeled) {
-      continue;
+    const CandidateRecord& rec = state_.at(id);
+    if ((rec.label == CandidateLabel::kAmbiguous ||
+         rec.label == CandidateLabel::kUnlabeled) &&
+        rec.embedding_count > 0) {
+      gids.push_back(id);
     }
-    if (rec.embedding_count == 0) continue;
-    EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                       &classifier_features_);
-    Result<EntityClassifier::Verdict> verdict =
-        classifier_->TryEvaluate(classifier_features_, &classifier_scratch_);
-    if (!verdict.ok()) {
-      EMD_LOG(Warn) << "periodic re-classification stopped ("
-                    << verdict.status() << "); will retry next interval";
-      break;
-    }
-    CandidateLabel label = verdict->label;
-    if (label == CandidateLabel::kNonEntity &&
-        rec.embedding_count < options_.min_evidence_mentions &&
-        verdict->probability > options_.low_evidence_beta) {
-      label = CandidateLabel::kAmbiguous;
-    }
-    rec.entity_probability = verdict->probability;
+  }
+  std::vector<float> probs;
+  if (const Status st = ScoreCandidates(gids, &probs); !st.ok()) {
+    EMD_LOG(Warn) << "periodic re-classification skipped (" << st
+                  << "); will retry next interval";
+    return 0;
+  }
+  size_t flipped = 0;
+  for (size_t k = 0; k < gids.size(); ++k) {
+    CandidateRecord& rec = state_.at(gids[k]);
+    rec.entity_probability = probs[k];
+    const CandidateLabel label = Label(probs[k], rec.embedding_count);
     if (label != rec.label) {
       rec.label = label;
       ++flipped;
@@ -714,20 +703,12 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
   {
     ScopedPhase phase(&timers_, "global");
 
-  if (options_.mode == GlobalizerOptions::Mode::kFull && !classifier_degraded_ &&
-      options_.token_batching && !failpoint::AnyArmed()) {
-    // ---- Step 4, planner path: one fused classifier forward over every
-    // candidate's feature row. Probabilities are bit-identical to the
-    // per-candidate path (each layer computes a row from that row alone);
-    // the threshold/low-evidence rules below are the same code in the same
-    // ascending-id order. An armed failpoint routes to the resilient
-    // per-candidate loop instead.
+  if (options_.mode == GlobalizerOptions::Mode::kFull && !classifier_degraded_) {
+    // ---- Step 4: Entity Classifier over global candidate embeddings, one
+    // fused forward over every candidate with evidence, labelled in
+    // ascending-id order.
     EMD_TRACE_SPAN("classifier");
-    if (lane_arenas_.empty()) lane_arenas_.resize(1);
-    ForwardArena* arena = &lane_arenas_[0];
-    std::vector<int> ids;
-    Mat* feats = arena->mat(EntityClassifier::kArenaSlot + 2);
-    const int fdim = classifier_->input_dim();
+    std::vector<int> gids;
     for (int c = 0; c < state_.num_candidates(); ++c) {
       if (!state_.Contains(c)) continue;
       CandidateRecord& rec = state_.at(c);
@@ -737,102 +718,32 @@ Result<GlobalizerOutput> Globalizer::Finalize() {
         ++out.num_ambiguous;
         continue;
       }
-      ids.push_back(c);
-    }
-    feats->Resize(static_cast<int>(ids.size()), fdim);
-    for (size_t k = 0; k < ids.size(); ++k) {
-      const CandidateRecord& rec = state_.at(ids[k]);
-      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                         &classifier_features_);
-      std::memcpy(feats->row(static_cast<int>(k)), classifier_features_.row(0),
-                  sizeof(float) * fdim);
+      gids.push_back(c);
     }
     std::vector<float> probs;
-    if (!ids.empty()) {
-      classifier_->ProbabilitiesBatched(*feats, arena, &probs);
-    }
-    for (size_t k = 0; k < ids.size(); ++k) {
-      CandidateRecord& rec = state_.at(ids[k]);
-      rec.entity_probability = probs[k];
-      CandidateLabel label;
-      if (probs[k] >= classifier_->options().alpha) {
-        label = CandidateLabel::kEntity;
-      } else if (probs[k] <= classifier_->options().beta) {
-        label = CandidateLabel::kNonEntity;
-      } else {
-        label = CandidateLabel::kAmbiguous;
-      }
-      if (label == CandidateLabel::kNonEntity &&
-          rec.embedding_count < options_.min_evidence_mentions &&
-          rec.entity_probability > options_.low_evidence_beta) {
-        label = CandidateLabel::kAmbiguous;
-      }
-      rec.label = label;
-      switch (rec.label) {
-        case CandidateLabel::kEntity:
-          ++out.num_entity;
-          break;
-        case CandidateLabel::kNonEntity:
-          ++out.num_non_entity;
-          break;
-        default:
-          ++out.num_ambiguous;
-          break;
-      }
-    }
-  } else if (options_.mode == GlobalizerOptions::Mode::kFull &&
-             !classifier_degraded_) {
-    // ---- Step 4: Entity Classifier over global candidate embeddings. ----
-    EMD_TRACE_SPAN("classifier");
-    for (int c = 0; c < state_.num_candidates(); ++c) {
-      if (!state_.Contains(c)) continue;
-      CandidateRecord& rec = state_.at(c);
-      ++out.num_candidates;
-      if (rec.embedding_count == 0) {
-        rec.label = CandidateLabel::kAmbiguous;
-        ++out.num_ambiguous;
-        continue;
-      }
-      EntityClassifier::MakeFeaturesInto(rec.GlobalEmbedding(), rec.num_tokens,
-                                         &classifier_features_);
-      const Mat& features = classifier_features_;
-      RetryStats retry_stats;
-      Result<EntityClassifier::Verdict> verdict = RunWithRetry(
-          options_.resilience.classifier, clock_, &retry_rng_,
-          [&] {
-            return classifier_->TryEvaluate(features, &classifier_scratch_);
-          },
-          &retry_stats);
-      num_retries_ += retry_stats.retries;
-      if (retry_stats.retries > 0) {
-        Counters().retries->Increment(retry_stats.retries);
-      }
-      if (!verdict.ok()) {
-        // Degradation ladder, rung 2: without verdicts, fall back to the
-        // mention-extraction output (Fig. 6 middle curve) for this cycle.
-        classifier_degraded_ = true;
-        EMD_LOG(Warn) << "entity classifier failed (" << verdict.status()
-                      << "); degrading to mention-extraction output for the "
-                         "remaining cycle";
-        break;
-      }
-      rec.entity_probability = verdict->probability;
-      rec.label = verdict->label;
-      if (rec.label == CandidateLabel::kNonEntity &&
-          rec.embedding_count < options_.min_evidence_mentions &&
-          rec.entity_probability > options_.low_evidence_beta) {
-        rec.label = CandidateLabel::kAmbiguous;
-      }
-      switch (rec.label) {
-        case CandidateLabel::kEntity:
-          ++out.num_entity;
-          break;
-        case CandidateLabel::kNonEntity:
-          ++out.num_non_entity;
-          break;
-        default:
-          ++out.num_ambiguous;
-          break;
+    if (const Status st = ScoreCandidates(gids, &probs); !st.ok()) {
+      // Degradation ladder, rung 2: without verdicts, fall back to the
+      // mention-extraction output (Fig. 6 middle curve) for this cycle.
+      classifier_degraded_ = true;
+      EMD_LOG(Warn) << "entity classifier failed (" << st
+                    << "); degrading to mention-extraction output for the "
+                       "remaining cycle";
+    } else {
+      for (size_t k = 0; k < gids.size(); ++k) {
+        CandidateRecord& rec = state_.at(gids[k]);
+        rec.entity_probability = probs[k];
+        rec.label = Label(probs[k], rec.embedding_count);
+        switch (rec.label) {
+          case CandidateLabel::kEntity:
+            ++out.num_entity;
+            break;
+          case CandidateLabel::kNonEntity:
+            ++out.num_non_entity;
+            break;
+          default:
+            ++out.num_ambiguous;
+            break;
+        }
       }
     }
   }

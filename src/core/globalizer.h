@@ -43,7 +43,6 @@
 #include "core/entity_classifier.h"
 #include "core/global_state.h"
 #include "core/memory_governor.h"
-#include "core/mention_extractor.h"
 #include "core/phrase_embedder.h"
 #include "core/tweet_base.h"
 #include "emd/local_emd_system.h"
@@ -125,18 +124,6 @@ struct GlobalizerOptions {
   /// concurrent_safe() or per-worker replicas were provided via
   /// set_worker_systems; the extraction/embedding stage parallelizes always.
   int num_threads = 1;
-
-  /// Token-batched local inference (forward-pass planner). When the local
-  /// system is batch_capable(), the tweets of each lane's chunk run through
-  /// LocalEmdSystem::ProcessBatched — subword rows of many tweets packed
-  /// into single fused GEMMs — instead of one Process call per tweet. fp32
-  /// results are bit-identical to the per-tweet path (batching reorders
-  /// scheduling, not arithmetic), so this defaults on. Only the resilient
-  /// happy path batches: an armed failpoint, a non-closed breaker, or a
-  /// local deadline routes the whole batch through the per-tweet resilient
-  /// path, and breaker bookkeeping is replayed per tweet in merge order so
-  /// the state machine stays identical either way.
-  bool token_batching = true;
 
   /// Deadline / retry / circuit-breaker configuration (see ResilienceOptions).
   ResilienceOptions resilience;
@@ -344,18 +331,6 @@ class Globalizer {
     int degraded = 0;
   };
 
-  /// Thread-safe local embedding of one extracted mention; falls back to a
-  /// mean-pooled raw token embedding (recorded in *degraded) when the phrase
-  /// embedder fails. Reads only shared-immutable state; `scratch` is the
-  /// calling worker's reusable phrase-embedder buffer.
-  Mat LocalEmbeddingWith(const TweetRecord& record, const TokenSpan& span,
-                         Rng* rng, PhraseEmbedder::Scratch* scratch,
-                         int* retries, int* degraded) const;
-
-  /// Serial-path wrapper: draws jitter from retry_rng_ and accumulates the
-  /// member counters.
-  Mat LocalEmbedding(const TweetRecord& record, const TokenSpan& span);
-
   /// Local EMD under the full escalation ladder: deadline + retry on
   /// `primary` while the (mutex-guarded) breaker admits, fallback routing
   /// while it is open. Thread-safe given a caller-owned rng; `via_fallback`
@@ -364,19 +339,15 @@ class Globalizer {
                                            LocalEmdSystem* primary, Rng* rng,
                                            int* retries, bool* via_fallback);
 
-  /// Serial-path wrapper around LocalEmdResilient (shared rng + counters).
-  Result<LocalEmdResult> LocalEmdWithResilience(const AnnotatedTweet& tweet,
-                                                bool* via_fallback);
-
   /// Computes one tweet's local stage into `out` (no shared mutation except
   /// the guarded breaker).
   void RunLocalStage(const AnnotatedTweet& tweet, LocalEmdSystem* primary,
                      size_t tweet_index, LocalStage* out);
 
-  /// True when this batch may take the token-batched local path: batching
-  /// enabled, every lane's system batch-capable, no deadline, no armed
-  /// failpoint, breaker closed. Cheap (one relaxed atomic load beyond the
-  /// guarded breaker peek).
+  /// True when this batch may take the token-batched planner path: every
+  /// lane's system batch-capable, no deadline, no armed failpoint, breaker
+  /// closed. Otherwise the per-tweet resilient path runs. Cheap (one relaxed
+  /// atomic load beyond the guarded breaker peek).
   bool BatchedLocalEligible(int lanes, size_t batch_size);
 
   /// Planner local stage: splits the batch into `lanes` contiguous chunks,
@@ -387,6 +358,29 @@ class Globalizer {
 
   /// Folds a computed local stage into TweetBase + counters, in tweet order.
   void MergeLocalStage(const AnnotatedTweet& tweet, LocalStage stage);
+
+  /// Local candidate embeddings of every mention in `stage->extracted`,
+  /// appended to `stage->embeddings` in order. Deep systems embed all of the
+  /// tweet's spans in one fused Entity Phrase Embedder call (failpoint
+  /// "core.phrase_embedder.embed", shape checks, retry policy); when it
+  /// fails, each span degrades to its mean-pooled raw token embeddings
+  /// (counted in stage->degraded). Non-deep systems use the syntactic
+  /// embedding. Reads only shared-immutable state plus the caller's arena.
+  void EmbedMentions(const TweetRecord& record, size_t tweet_index,
+                     ForwardArena* arena, ExtractStage* stage) const;
+
+  /// Entity probabilities of candidates `gids`, in order, from one fused
+  /// Entity Classifier forward (failpoint "core.entity_classifier.classify",
+  /// feature-shape check, retry policy). Retries are counted; a failure
+  /// leaves `*probabilities` unspecified.
+  Status ScoreCandidates(const std::vector<int>& gids,
+                         std::vector<float>* probabilities);
+
+  /// The verdict for a candidate with entity probability `p` pooled from
+  /// `evidence` mentions: the classifier's alpha/beta thresholds, then the
+  /// low-evidence rule (a beta verdict on too few mentions stays ambiguous
+  /// unless p <= low_evidence_beta).
+  CandidateLabel Label(float p, int evidence) const;
 
   /// Deterministic per-tweet RNG for retry jitter on worker threads.
   Rng TaskRng(size_t tweet_index) const;
@@ -405,7 +399,7 @@ class Globalizer {
   /// Re-scores γ-band (ambiguous/unlabeled) candidates with their current
   /// decayed global embeddings; returns how many labels flipped. Invoked by
   /// the memory governor on its reclassification interval, at the batch
-  /// barrier. A classifier failure logs and stops the sweep (never fatal).
+  /// barrier. A classifier failure logs and skips the sweep (never fatal).
   size_t ReclassifyAmbiguous();
 
   LocalEmdSystem* system_;
@@ -445,12 +439,9 @@ class Globalizer {
   // state.
   std::vector<ShardedGlobalState::ScanScratch> scan_scratch_;
 
-  // Allocation-recycling scratch for the serial hot paths: the serial-wrapper
-  // phrase-embedder pool buffer and the classifier's feature row + ping-pong
-  // activations, reused across candidates within and across cycles.
-  PhraseEmbedder::Scratch serial_embed_scratch_;
+  // The classifier's feature-row scratch, reused across candidates within and
+  // across cycles.
   Mat classifier_features_;
-  EntityClassifier::InferScratch classifier_scratch_;
 
   // Fault-tolerance state; persisted by SaveCheckpoint. num_retries_ is
   // mutable because the const SaveCheckpoint retries its IO.

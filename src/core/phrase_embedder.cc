@@ -6,7 +6,6 @@
 #include "nn/optimizer.h"
 #include "nn/params.h"
 #include "nn/serialize.h"
-#include "util/failpoint.h"
 #include "util/logging.h"
 #include "util/rng.h"
 
@@ -49,30 +48,10 @@ Mat PhraseEmbedder::EmbedAll(const Mat& token_embeddings) const {
 }
 
 Mat PhraseEmbedder::Embed(const Mat& token_embeddings, const TokenSpan& span) const {
-  Scratch scratch;
+  ForwardArena arena;
   Mat out;
-  EmbedInto(token_embeddings, span, &scratch, &out);
+  EmbedSpansInto(token_embeddings, {span}, &arena, &out);
   return out;
-}
-
-void PhraseEmbedder::EmbedInto(const Mat& token_embeddings, const TokenSpan& span,
-                               Scratch* scratch, Mat* out) const {
-  EMD_CHECK_LT(span.begin, span.end);
-  EMD_CHECK_LE(span.end, static_cast<size_t>(token_embeddings.rows()));
-  Mat& pooled = scratch->pooled;
-  pooled.Resize(1, token_embeddings.cols());
-  pooled.Fill(0.f);
-  for (size_t t = span.begin; t < span.end; ++t) {
-    const float* row = token_embeddings.row(static_cast<int>(t));
-    for (int j = 0; j < pooled.cols(); ++j) pooled(0, j) += row[j];
-  }
-  pooled.Scale(1.f / static_cast<float>(span.length()));
-  if (q_.packed()) {
-    q_.Apply(pooled, &scratch->qs, out);
-  } else {
-    MatMulInto(pooled, w_, out);
-    AddRowBroadcastInPlace(out, b_);
-  }
 }
 
 void PhraseEmbedder::EmbedSpansInto(const Mat& token_embeddings,
@@ -103,31 +82,6 @@ void PhraseEmbedder::EmbedSpansInto(const Mat& token_embeddings,
 }
 
 void PhraseEmbedder::PrepareQuantizedInference() { q_.Pack(w_, b_); }
-
-Result<Mat> PhraseEmbedder::TryEmbed(const Mat& token_embeddings,
-                                     const TokenSpan& span) const {
-  Scratch scratch;
-  return TryEmbed(token_embeddings, span, &scratch);
-}
-
-Result<Mat> PhraseEmbedder::TryEmbed(const Mat& token_embeddings,
-                                     const TokenSpan& span,
-                                     Scratch* scratch) const {
-  EMD_RETURN_IF_ERROR(EMD_FAILPOINT("core.phrase_embedder.embed"));
-  if (span.begin >= span.end ||
-      span.end > static_cast<size_t>(token_embeddings.rows())) {
-    return Status::InvalidArgument("phrase embedder span [", span.begin, ", ",
-                                   span.end, ") out of range for ",
-                                   token_embeddings.rows(), " tokens");
-  }
-  if (token_embeddings.cols() != in_dim()) {
-    return Status::InvalidArgument("phrase embedder dim mismatch: got ",
-                                   token_embeddings.cols(), ", want ", in_dim());
-  }
-  Mat out;
-  EmbedInto(token_embeddings, span, scratch, &out);
-  return out;
-}
 
 double PhraseEmbedder::Evaluate(LocalEmdSystem* system,
                                 const std::vector<StsPair>& pairs) const {

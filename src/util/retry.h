@@ -14,8 +14,8 @@
 // deployment opts in).
 //
 //   RetryStats stats;
-//   Result<Mat> r = RunWithRetry(policy, clock, &rng, [&] {
-//     return embedder->TryEmbed(tokens, span);
+//   Result<LocalEmdResult> r = RunWithRetry(policy, clock, &rng, [&] {
+//     return system->TryProcess(tokens, deadline);
 //   }, &stats);
 
 #ifndef EMD_UTIL_RETRY_H_

@@ -1,5 +1,5 @@
 // Tests for the Global EMD data structures: BIO codec, CTrie, the candidate
-// mention extractor, the syntactic embedder, TweetBase/CandidateBase, and
+// mention scan, the syntactic embedder, TweetBase/CandidateBase, and
 // mention-level metrics. Includes parameterized property sweeps.
 
 #include <gtest/gtest.h>
@@ -10,7 +10,7 @@
 
 #include "core/candidate_base.h"
 #include "core/ctrie.h"
-#include "core/mention_extractor.h"
+#include "core/global_state.h"
 #include "core/syntactic_embedder.h"
 #include "core/tweet_base.h"
 #include "text/bio.h"
@@ -197,74 +197,78 @@ TEST_P(CTriePropertyTest, EveryInsertedCandidateIsFindable) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CTriePropertyTest, ::testing::Values(11, 22, 33, 44));
 
-// ------------------------------------------------------- MentionExtractor
+// --------------------------------------------------------- candidate scan
+//
+// The §V-A longest-match re-scan through the single-shard global state
+// (S=1 is the historical single CTrie).
 
-TEST(MentionExtractorTest, FindsAllCaseVariants) {
-  CTrie trie;
-  const int id = trie.Insert({"coronavirus"});
-  MentionExtractor ex(&trie);
+std::vector<ExtractedMention> Scan(const ShardedGlobalState& state,
+                                   const std::vector<Token>& tokens) {
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> mentions;
+  state.ExtractInto(tokens, &scratch, &mentions);
+  return mentions;
+}
+
+TEST(CandidateScanTest, FindsAllCaseVariants) {
+  ShardedGlobalState state(1);
+  const int id = state.Insert(std::vector<std::string>{"coronavirus"});
   auto tokens = Toks("the Coronavirus and CORONAVIRUS and coronavirus spread");
-  auto mentions = ex.Extract(tokens);
+  auto mentions = Scan(state, tokens);
   ASSERT_EQ(mentions.size(), 3u);
   for (const auto& m : mentions) EXPECT_EQ(m.candidate_id, id);
 }
 
-TEST(MentionExtractorTest, LongestMatchWins) {
-  CTrie trie;
-  trie.Insert({"andy"});
-  const int full = trie.Insert({"andy", "beshear"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("governor Andy Beshear spoke"));
+TEST(CandidateScanTest, LongestMatchWins) {
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"andy"});
+  const int full = state.Insert(std::vector<std::string>{"andy", "beshear"});
+  auto mentions = Scan(state, Toks("governor Andy Beshear spoke"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].candidate_id, full);
   EXPECT_EQ(mentions[0].span, (TokenSpan{1, 3}));
 }
 
-TEST(MentionExtractorTest, PartialExtractionCorrection) {
+TEST(CandidateScanTest, PartialExtractionCorrection) {
   // Local EMD found only "Andy" here but the full string was registered from
-  // another tweet: the extractor returns the full mention (§V-A example).
-  CTrie trie;
-  trie.Insert({"Andy", "Beshear"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("andy beshear says schools stay closed"));
+  // another tweet: the scan returns the full mention (§V-A example).
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"Andy", "Beshear"});
+  auto mentions = Scan(state, Toks("andy beshear says schools stay closed"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].span, (TokenSpan{0, 2}));
 }
 
-TEST(MentionExtractorTest, FallsBackToShorterCandidateOnLongerMiss) {
-  CTrie trie;
-  const int shorter = trie.Insert({"andy"});
-  trie.Insert({"andy", "beshear"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("Andy spoke today"));
+TEST(CandidateScanTest, FallsBackToShorterCandidateOnLongerMiss) {
+  ShardedGlobalState state(1);
+  const int shorter = state.Insert(std::vector<std::string>{"andy"});
+  state.Insert(std::vector<std::string>{"andy", "beshear"});
+  auto mentions = Scan(state, Toks("Andy spoke today"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].candidate_id, shorter);
 }
 
-TEST(MentionExtractorTest, NonOverlappingLeftToRight) {
-  CTrie trie;
-  trie.Insert({"us"});
-  trie.Insert({"us", "open"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("US Open starts as US fans arrive"));
+TEST(CandidateScanTest, NonOverlappingLeftToRight) {
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"us"});
+  state.Insert(std::vector<std::string>{"us", "open"});
+  auto mentions = Scan(state, Toks("US Open starts as US fans arrive"));
   ASSERT_EQ(mentions.size(), 2u);
   EXPECT_EQ(mentions[0].span, (TokenSpan{0, 2}));  // "US Open"
   EXPECT_EQ(mentions[1].span, (TokenSpan{4, 5}));  // "US"
 }
 
-TEST(MentionExtractorTest, EmptyTrieFindsNothing) {
-  CTrie trie;
-  MentionExtractor ex(&trie);
-  EXPECT_TRUE(ex.Extract(Toks("nothing to see here")).empty());
+TEST(CandidateScanTest, EmptyTrieFindsNothing) {
+  ShardedGlobalState state(1);
+  EXPECT_TRUE(Scan(state, Toks("nothing to see here")).empty());
 }
 
-TEST(MentionExtractorTest, MidWindowRestartFindsLaterCandidate) {
+TEST(CandidateScanTest, MidWindowRestartFindsLaterCandidate) {
   // A failed long window must not swallow a candidate starting inside it.
-  CTrie trie;
-  trie.Insert({"new", "york"});
-  trie.Insert({"york", "times"});
-  MentionExtractor ex(&trie);
-  auto mentions = ex.Extract(Toks("the new york times building"));
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"new", "york"});
+  state.Insert(std::vector<std::string>{"york", "times"});
+  auto mentions = Scan(state, Toks("the new york times building"));
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].span, (TokenSpan{1, 3}));  // longest from leftmost start
 }

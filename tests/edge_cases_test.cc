@@ -198,37 +198,42 @@ TEST(EmbeddingTest, PadRowStaysZeroThroughTraining) {
 
 // ------------------------------------------------------------ extractor
 
+// The §V-A re-scan through the single-shard global state.
+std::vector<ExtractedMention> Scan(const ShardedGlobalState& state,
+                                   const std::vector<Token>& tokens) {
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> mentions;
+  state.ExtractInto(tokens, &scratch, &mentions);
+  return mentions;
+}
+
 TEST(ExtractorEdgeTest, CandidateAtSentenceEnd) {
-  CTrie trie;
-  trie.Insert({"beshear"});
-  MentionExtractor ex(&trie);
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"beshear"});
   auto toks = TweetTokenizer().Tokenize("a statement from Beshear");
-  auto mentions = ex.Extract(toks);
+  auto mentions = Scan(state, toks);
   ASSERT_EQ(mentions.size(), 1u);
   EXPECT_EQ(mentions[0].span.end, toks.size());
 }
 
 TEST(ExtractorEdgeTest, CandidateLongerThanSentence) {
-  CTrie trie;
-  trie.Insert({"one", "two", "three", "four"});
-  MentionExtractor ex(&trie);
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"one", "two", "three", "four"});
   auto toks = TweetTokenizer().Tokenize("one two three");
-  EXPECT_TRUE(ex.Extract(toks).empty());
+  EXPECT_TRUE(Scan(state, toks).empty());
 }
 
 TEST(ExtractorEdgeTest, EmptySentence) {
-  CTrie trie;
-  trie.Insert({"x"});
-  MentionExtractor ex(&trie);
-  EXPECT_TRUE(ex.Extract({}).empty());
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"x"});
+  EXPECT_TRUE(Scan(state, {}).empty());
 }
 
 TEST(ExtractorEdgeTest, RepeatedAdjacentMentions) {
-  CTrie trie;
-  trie.Insert({"goal"});
-  MentionExtractor ex(&trie);
+  ShardedGlobalState state(1);
+  state.Insert(std::vector<std::string>{"goal"});
   auto toks = TweetTokenizer().Tokenize("goal goal goal");
-  EXPECT_EQ(ex.Extract(toks).size(), 3u);
+  EXPECT_EQ(Scan(state, toks).size(), 3u);
 }
 
 // ----------------------------------------------------------- globalizer

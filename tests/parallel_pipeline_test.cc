@@ -13,6 +13,7 @@
 
 #include "core/globalizer.h"
 #include "core/phrase_embedder.h"
+#include "nn/kernels/kernels.h"
 #include "mock_local_system.h"
 #include "text/tweet_tokenizer.h"
 #include "util/thread_pool.h"
@@ -192,6 +193,47 @@ RunResult RunStream(Globalizer* g, const Dataset& d, size_t batch_size) {
   return r;
 }
 
+// FNV-1a over everything RunStream captures: emitted spans, candidate keys,
+// pooled mention counts and the bit patterns of the pooled embedding sums.
+uint64_t Digest(const RunResult& r) {
+  uint64_t h = 1469598103934665603ULL;
+  auto mix = [&h](const void* p, size_t n) {
+    const unsigned char* b = static_cast<const unsigned char*>(p);
+    for (size_t i = 0; i < n; ++i) {
+      h ^= b[i];
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const std::vector<TokenSpan>& spans : r.output.mentions) {
+    const uint64_t n = spans.size();
+    mix(&n, sizeof(n));
+    for (const TokenSpan& s : spans) {
+      const uint64_t se[2] = {s.begin, s.end};
+      mix(se, sizeof(se));
+    }
+  }
+  for (size_t i = 0; i < r.keys.size(); ++i) {
+    mix(r.keys[i].data(), r.keys[i].size() + 1);
+    mix(&r.embedding_counts[i], sizeof(int));
+    mix(r.embedding_sums[i].data(), r.embedding_sums[i].size() * sizeof(float));
+  }
+  return h;
+}
+
+// Golden digests of the per-tweet arms below, recorded when the pipeline
+// still embedded every mention with its own phrase-embedder call (the path
+// the fused per-tweet embedding replaced). The fp32 GEMM backends agree only
+// within 1e-5, so each dispatched backend has its own value.
+uint64_t Golden(uint64_t avx2, uint64_t scalar) {
+  return std::strcmp(kernels::Kernels().name, "scalar") == 0 ? scalar : avx2;
+}
+uint64_t RaggedGolden() {
+  return Golden(0x3023a1d142f3af47ULL, 0xa2cf012c5cef0f30ULL);
+}
+uint64_t ReplicaGolden() {
+  return Golden(0xae8343223baa0209ULL, 0x9ebf65b890970b81ULL);
+}
+
 void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
   ASSERT_EQ(serial.output.mentions.size(), parallel.output.mentions.size());
   for (size_t i = 0; i < serial.output.mentions.size(); ++i) {
@@ -209,7 +251,9 @@ void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {
     const auto& b = parallel.embedding_sums[i];
     ASSERT_EQ(a.size(), b.size()) << "candidate " << i;
     // Bit-for-bit, not approximate: the parallel merge must replicate the
-    // serial pooling order exactly.
+    // serial pooling order exactly. (A candidate with no pooled mention has
+    // an empty sum, and memcmp must not see its null data pointer.)
+    if (a.empty()) continue;
     EXPECT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
         << "candidate " << i << " (" << serial.keys[i] << ")";
   }
@@ -334,28 +378,28 @@ TEST(ParallelPipelineTest, TokenBatchedSerialMatchesPerTweetBitForBit) {
   constexpr int kDim = 16;
   PhraseEmbedder pe(kDim, 8);
 
-  // Baseline: token batching disabled — the legacy per-tweet local stage and
-  // per-mention phrase embedding.
-  MockLocalSystem legacy_mock(StreamRules(), kDim);
-  GlobalizerOptions legacy_opt;
-  legacy_opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  legacy_opt.token_batching = false;
-  Globalizer legacy(&legacy_mock, &pe, nullptr, legacy_opt);
-  RunResult lr = RunStream(&legacy, d, /*batch_size=*/5);
+  // Baseline: a system that is not batch-capable takes the per-tweet
+  // resilient local stage. Its output is pinned to the golden digest.
+  MockLocalSystem per_tweet_mock(StreamRules(), kDim);
+  per_tweet_mock.set_batch_capable(false);
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+  Globalizer per_tweet(&per_tweet_mock, &pe, nullptr, opt);
+  RunResult lr = RunStream(&per_tweet, d, /*batch_size=*/5);
+  EXPECT_EQ(Digest(lr), RaggedGolden());
 
-  // Token-batched: whole batch slots go through ProcessBatched and the fused
-  // span-embedding GEMM. Output must be bit-identical.
+  // Token-batched: whole batch slots go through ProcessBatched. Output must
+  // be bit-identical.
   MockLocalSystem batched_mock(StreamRules(), kDim);
   batched_mock.set_batch_capable(true);
-  GlobalizerOptions batched_opt = legacy_opt;
-  batched_opt.token_batching = true;
-  Globalizer batched(&batched_mock, &pe, nullptr, batched_opt);
+  Globalizer batched(&batched_mock, &pe, nullptr, opt);
   RunResult br = RunStream(&batched, d, /*batch_size=*/5);
 
+  EXPECT_EQ(per_tweet_mock.batched_calls(), 0);
   EXPECT_GT(batched_mock.batched_calls(), 0)
       << "batch-capable system should have taken the planner path";
   ExpectIdentical(lr, br);
-  EXPECT_EQ(legacy_mock.calls(), batched_mock.calls());
+  EXPECT_EQ(per_tweet_mock.calls(), batched_mock.calls());
 }
 
 TEST(ParallelPipelineTest, TokenBatchedParallelMatchesSerialBitForBit) {
@@ -364,16 +408,16 @@ TEST(ParallelPipelineTest, TokenBatchedParallelMatchesSerialBitForBit) {
   PhraseEmbedder pe(kDim, 8);
 
   MockLocalSystem serial_mock(StreamRules(), kDim);
+  serial_mock.set_batch_capable(false);
   GlobalizerOptions serial_opt;
   serial_opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  serial_opt.token_batching = false;
   Globalizer serial(&serial_mock, &pe, nullptr, serial_opt);
   RunResult sr = RunStream(&serial, d, /*batch_size=*/5);
+  EXPECT_EQ(Digest(sr), RaggedGolden());
 
   MockLocalSystem parallel_mock(StreamRules(), kDim);
   parallel_mock.set_batch_capable(true);
   GlobalizerOptions parallel_opt = serial_opt;
-  parallel_opt.token_batching = true;
   parallel_opt.num_threads = 4;
   Globalizer parallel(&parallel_mock, &pe, nullptr, parallel_opt);
   RunResult pr = RunStream(&parallel, d, /*batch_size=*/5);
@@ -389,11 +433,12 @@ TEST(ParallelPipelineTest, TokenBatchedWorkerReplicasFanOutAndMatch) {
   PhraseEmbedder pe(kDim, 6);
 
   UnsafeMock serial_mock(StreamRules(), kDim);
+  serial_mock.set_batch_capable(false);
   GlobalizerOptions serial_opt;
   serial_opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-  serial_opt.token_batching = false;
   Globalizer serial(&serial_mock, &pe, nullptr, serial_opt);
   RunResult sr = RunStream(&serial, d, /*batch_size=*/6);
+  EXPECT_EQ(Digest(sr), ReplicaGolden());
 
   // Batch-capable replicas: each worker lane drives one contiguous chunk of
   // the batch slot through its own replica's ProcessBatched.
@@ -402,7 +447,6 @@ TEST(ParallelPipelineTest, TokenBatchedWorkerReplicasFanOutAndMatch) {
       r2(StreamRules(), kDim);
   for (UnsafeMock* m : {&primary, &r0, &r1, &r2}) m->set_batch_capable(true);
   GlobalizerOptions parallel_opt = serial_opt;
-  parallel_opt.token_batching = true;
   parallel_opt.num_threads = 3;
   Globalizer parallel(&primary, &pe, nullptr, parallel_opt);
   parallel.set_worker_systems({&r0, &r1, &r2});

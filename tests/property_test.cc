@@ -11,9 +11,8 @@
 #include <set>
 
 #include "core/candidate_base.h"
-#include "core/ctrie.h"
+#include "core/global_state.h"
 #include "core/globalizer.h"
-#include "core/mention_extractor.h"
 #include "core/syntactic_embedder.h"
 #include "mock_local_system.h"
 #include "stream/datasets.h"
@@ -82,17 +81,18 @@ TEST_P(SeededTest, ExtractorOutputsSortedNonOverlappingAndComplete) {
   gopt.seed = GetParam() * 5 + 2;
   TweetGenerator gen(&catalog, Topic::kSports, gopt);
 
-  CTrie trie;
+  ShardedGlobalState state(1);
   std::vector<AnnotatedTweet> tweets;
   for (int i = 0; i < 80; ++i) {
     tweets.push_back(gen.Next());
     for (const auto& g : tweets.back().gold) {
-      trie.Insert(tweets.back().tokens, g.span);
+      state.Insert(tweets.back().tokens, g.span);
     }
   }
-  MentionExtractor extractor(&trie);
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> mentions;
   for (const auto& tweet : tweets) {
-    const auto mentions = extractor.Extract(tweet.tokens);
+    state.ExtractInto(tweet.tokens, &scratch, &mentions);
     size_t prev_end = 0;
     for (const auto& m : mentions) {
       ASSERT_GE(m.span.begin, prev_end) << "overlap or disorder";

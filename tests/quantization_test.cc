@@ -3,8 +3,9 @@
 // scalar/AVX2 int8 agreement, QuantizedLinear parity against fp32 within its
 // analytic error bound, ragged-batch planner equivalence against the
 // per-sequence forward (including empty and truncated sequences), the
-// zero-allocation steady state of a warm planner pass, and the end-to-end
-// int8-vs-fp32 F1 gate on a trained MiniBertweet.
+// zero-allocation steady state of a warm planner pass, row-for-row bit
+// identity of the fused phrase-embedder and classifier calls, and the
+// end-to-end int8-vs-fp32 F1 gate on a trained MiniBertweet.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,8 @@
 #include <new>
 #include <vector>
 
+#include "core/entity_classifier.h"
+#include "core/phrase_embedder.h"
 #include "emd/mini_bertweet.h"
 #include "eval/metrics.h"
 #include "nn/kernels/kernels.h"
@@ -326,6 +329,54 @@ TEST(PlannerTest, WarmQuantizedApplyBatchedIsAllocationFree) {
   layer.ApplyBatched(x, pack, &arena, 0, &out);
   const long after = g_allocations.load(std::memory_order_relaxed);
   EXPECT_EQ(before, after);
+}
+
+// ---------------------------------------------------------------------------
+// Fused global-pass calls: the Globalizer embeds all of a tweet's mentions in
+// one EmbedSpansInto and scores all candidates in one ProbabilitiesBatched.
+// Each output row must equal scoring that row alone, bit for bit, with fp32
+// weights and with int8 weights packed (what EMD_BACKEND=int8 does at
+// train/load time).
+// ---------------------------------------------------------------------------
+
+TEST(FusedInferenceTest, EmbedSpansRowsMatchSingleSpanEmbedBitwise) {
+  const Mat tokens = GaussianMat(9, 12, 1.f, 41);
+  const std::vector<TokenSpan> spans = {{0, 1}, {2, 5}, {4, 9}, {8, 9},
+                                        {1, 3}, {2, 5}};
+  for (bool quantized : {false, true}) {
+    PhraseEmbedder pe(12, 7, 43);
+    if (quantized) pe.PrepareQuantizedInference();
+    ForwardArena arena;
+    Mat fused;
+    pe.EmbedSpansInto(tokens, spans, &arena, &fused);
+    ASSERT_EQ(fused.rows(), static_cast<int>(spans.size()));
+    for (size_t i = 0; i < spans.size(); ++i) {
+      const Mat one = pe.Embed(tokens, spans[i]);
+      ASSERT_EQ(one.cols(), fused.cols());
+      EXPECT_EQ(0, std::memcmp(one.row(0), fused.row(static_cast<int>(i)),
+                               sizeof(float) * one.cols()))
+          << "span " << i << (quantized ? " (int8)" : " (fp32)");
+    }
+  }
+}
+
+TEST(FusedInferenceTest, BatchedProbabilitiesMatchPerRowBitwise) {
+  const Mat features = GaussianMat(13, 9, 1.f, 47);
+  for (bool quantized : {false, true}) {
+    EntityClassifier clf({.input_dim = 9, .hidden_dim = 16});
+    if (quantized) clf.PrepareQuantizedInference();
+    ForwardArena arena;
+    std::vector<float> probs;
+    clf.ProbabilitiesBatched(features, &arena, &probs);
+    ASSERT_EQ(probs.size(), static_cast<size_t>(features.rows()));
+    Mat row(1, features.cols());
+    for (int i = 0; i < features.rows(); ++i) {
+      row.SetRow(0, features.row(i));
+      const float p = clf.Probability(row);
+      EXPECT_EQ(0, std::memcmp(&p, &probs[i], sizeof(float)))
+          << "row " << i << (quantized ? " (int8)" : " (fp32)");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

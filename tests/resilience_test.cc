@@ -2,7 +2,8 @@
 // circuit-breaker state transitions, ingest-queue backpressure and shedding,
 // dead-letter queue round-trips with corruption resync, and the full
 // deadline → retry → breaker → fallback → DLQ ladder through the Globalizer,
-// driven via the failpoint registry.
+// and retries of the fused phrase-embedding and classification calls, driven
+// via the failpoint registry.
 
 #include <gtest/gtest.h>
 
@@ -11,7 +12,9 @@
 #include <string>
 #include <vector>
 
+#include "core/entity_classifier.h"
 #include "core/globalizer.h"
+#include "core/phrase_embedder.h"
 #include "mock_local_system.h"
 #include "stream/dead_letter.h"
 #include "stream/ingest_queue.h"
@@ -619,6 +622,70 @@ TEST(GlobalizerResilienceTest, CheckpointV2RoundTripsResilienceCounters) {
   EXPECT_EQ(after.mentions, before.mentions);
   std::filesystem::remove(ckpt);
   std::filesystem::remove(dlq_path);
+}
+
+// ------------------------------------------------ fused global-pass calls --
+
+// One stream through a deep mock in kFull with two attempts per fused
+// global-pass call. `failpoint_name` (when set) fails its first hit once.
+struct FusedRun {
+  GlobalizerOutput output;
+  std::vector<std::vector<float>> embedding_sums;
+  std::vector<float> probabilities;
+};
+
+FusedRun RunWithFusedFault(const char* failpoint_name) {
+  if (failpoint_name != nullptr) {
+    failpoint::EnableAfter(failpoint_name, Status::Internal("hiccup"),
+                           /*skip=*/0, /*max_fires=*/1);
+  }
+  MockLocalSystem mock(CoronaRules(), /*dim=*/8);
+  PhraseEmbedder pe(8, 6);
+  EntityClassifier clf({.input_dim = 7});
+  FakeClock clock;
+  GlobalizerOptions opt;
+  opt.mode = GlobalizerOptions::Mode::kFull;
+  opt.resilience.phrase_embedder.max_attempts = 2;
+  opt.resilience.classifier.max_attempts = 2;
+  opt.resilience.clock = &clock;
+  Globalizer g(&mock, &pe, &clf, opt);
+  FusedRun run;
+  run.output = g.Run(SmallStream()).value();
+  failpoint::DisableAll();
+  const ShardedGlobalState& state = g.global_state();
+  for (int id = 0; id < state.num_candidates(); ++id) {
+    const Mat& sum = state.at(id).embedding_sum;
+    run.embedding_sums.emplace_back(sum.data(), sum.data() + sum.size());
+    run.probabilities.push_back(state.at(id).entity_probability);
+  }
+  return run;
+}
+
+void ExpectSameRun(const FusedRun& clean, const FusedRun& faulty) {
+  EXPECT_EQ(faulty.output.mentions, clean.output.mentions);
+  EXPECT_EQ(faulty.output.num_entity, clean.output.num_entity);
+  EXPECT_EQ(faulty.output.num_ambiguous, clean.output.num_ambiguous);
+  EXPECT_EQ(faulty.embedding_sums, clean.embedding_sums);
+  EXPECT_EQ(faulty.probabilities, clean.probabilities);
+}
+
+TEST(GlobalizerResilienceTest, FusedPhraseEmbedRetriesTransientFault) {
+  FailpointGuard guard;
+  const FusedRun clean = RunWithFusedFault(nullptr);
+  const FusedRun faulty = RunWithFusedFault("core.phrase_embedder.embed");
+  EXPECT_EQ(clean.output.num_retries, 0);
+  EXPECT_EQ(faulty.output.num_degraded, 0) << "the retry succeeded";
+  EXPECT_EQ(faulty.output.num_retries, 1);
+  ExpectSameRun(clean, faulty);
+}
+
+TEST(GlobalizerResilienceTest, FusedClassifierRetriesTransientFault) {
+  FailpointGuard guard;
+  const FusedRun clean = RunWithFusedFault(nullptr);
+  const FusedRun faulty = RunWithFusedFault("core.entity_classifier.classify");
+  EXPECT_FALSE(faulty.output.classifier_degraded);
+  EXPECT_EQ(faulty.output.num_retries, 1);
+  ExpectSameRun(clean, faulty);
 }
 
 // ------------------------------------------------------ no-fallback paths --
