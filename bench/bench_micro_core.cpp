@@ -4,8 +4,10 @@
 // additional computational overhead" claim at the operation level.
 //
 // The custom main additionally hand-times the blocked GEMM against the
-// pre-optimization naive kernel at 256^3 and writes every result as
-// emd-bench-v1 JSON (BENCH_micro.json) via bench::BenchReporter.
+// pre-optimization naive kernel at 256^3, the two candidate matchers and the
+// global state's byte accounting (running tally vs reference walk), and
+// writes every result as emd-bench-v1 JSON (BENCH_micro.json) via
+// bench::BenchReporter.
 
 #include <benchmark/benchmark.h>
 
@@ -13,6 +15,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "bench_common.h"
 #include "core/candidate_base.h"
@@ -344,6 +347,56 @@ void RunQuantComparison(bench::BenchReporter* reporter, int reps) {
   reporter->Add(std::string("quant_backend/") + q8.name, 1, 0, 0, "");
 }
 
+// State accounting over a built global state: ns per UpdateShardGauges()
+// (what every execution cycle pays: the O(shards) running tallies) against
+// ns per RecountApproxBytes() (the reference walk over every trie node and
+// candidate record that the tallies replaced). The two byte figures must be
+// equal; no timing gate.
+void RunAccountingComparison(bench::BenchReporter* reporter,
+                             ShardedGlobalState* state,
+                             const std::string& dims, int reps) {
+  // Records for every live candidate, so the walk covers CandidateBase too.
+  for (int gid = 0; gid < state->num_candidates(); ++gid) {
+    if (!state->IsTombstone(gid)) state->GetOrCreate(gid);
+  }
+  const size_t tally = state->ApproxBytes();
+  const size_t walked = state->RecountApproxBytes();
+  if (tally != walked) {
+    std::fprintf(stderr,
+                 "FAIL: ApproxBytes() %zu != RecountApproxBytes() %zu at %s\n",
+                 tally, walked, dims.c_str());
+    std::exit(1);
+  }
+  // Best of `reps` rounds, `calls` back-to-back calls each.
+  auto best_ns_per_call = [reps](int calls, const auto& fn) {
+    double best = 1e100;
+    for (int r = 0; r < reps; ++r) {
+      const auto start = std::chrono::steady_clock::now();
+      for (int c = 0; c < calls; ++c) fn();
+      best = std::min(best, std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - start)
+                                    .count() /
+                                calls);
+    }
+    return best * 1e9;
+  };
+  const int gauge_calls = 10000;
+  const int recount_calls = 3;
+  const double gauges_ns =
+      best_ns_per_call(gauge_calls, [&] { state->UpdateShardGauges(); });
+  const double recount_ns = best_ns_per_call(recount_calls, [&] {
+    benchmark::DoNotOptimize(state->RecountApproxBytes());
+  });
+  std::printf(
+      "accounting %s (%.1f MB): UpdateShardGauges %.0f ns/call, "
+      "RecountApproxBytes %.0f ns/call, tally == recount\n",
+      dims.c_str(), static_cast<double>(tally) / 1e6, gauges_ns, recount_ns);
+  reporter->Add("accounting_update_shard_gauges/" + dims, gauge_calls,
+                gauges_ns);
+  reporter->Add("accounting_recount_approx_bytes/" + dims, recount_calls,
+                recount_ns);
+}
+
 // Candidate re-scan: legacy lockstep matcher vs the interned-symbol matcher
 // over the identical sharded state (DESIGN §12). Both scans must extract the
 // identical mention set; the JSON records tokens/sec and steps/token per
@@ -475,6 +528,7 @@ void RunScanComparison(bench::BenchReporter* reporter, int num_candidates,
   reporter->Add("scan_steps_per_token_interned/" + dims, reps, 0, interned_spt,
                 "steps/token");
   reporter->Add("scan_speedup/" + dims, reps, 0, speedup, "x");
+  RunAccountingComparison(reporter, &interned, dims, reps);
 
   if (min_speedup > 0 && speedup < min_speedup) {
     std::fprintf(stderr,

@@ -9,8 +9,9 @@
 //
 // Two observability checks ride along: the run's metrics-registry snapshot
 // is written next to the bench JSON (<out>.metrics.json, same emd-bench-v1
-// schema), and the serial pipeline is re-timed with the registry disabled —
-// instrumentation overhead beyond the budget fails the run.
+// schema), and the serial pipeline is re-timed in interleaved pairs with the
+// registry enabled and disabled — a median per-pair overhead beyond the
+// budget fails the run.
 //
 // Flags:
 //   --smoke      tiny sizes (few tweets, threads {1,2}) for CI smoke jobs
@@ -397,31 +398,47 @@ int main(int argc, char** argv) {
                "GFLOP/s");
 
   // Instrumentation overhead: the registry claims to be near-zero-cost, so
-  // hold it to that. Serial pipeline, best of `reps`, recording on vs off in
-  // the same binary. The smoke budget is looser — tiny workloads on shared
-  // CI cores jitter more than the effect being measured.
-  const int reps = smoke ? 3 : 5;
-  auto best_serial_seconds = [&](bool enabled) {
+  // hold it to that. Serial pipeline, recording on vs off in the same
+  // binary, run as interleaved on/off pairs (the order inside a pair
+  // alternates) and compared by the median of the per-pair time ratios: host
+  // drift hits both arms of a pair alike, and the median ignores the odd
+  // stalled run. The smoke budget is looser — tiny workloads on shared CI
+  // cores jitter more than the effect being measured.
+  const int pairs = smoke ? 5 : 15;  // odd: the median is one pair's value
+  auto serial_seconds = [&](bool enabled) {
     emd::obs::Metrics().set_enabled(enabled);
-    double best = 1e100;
-    for (int r = 0; r < reps; ++r) {
-      best = std::min(
-          best, emd::RunPipeline(tweets, dim, 1, batch_size,
-                                 /*batch_capable=*/true)
-                    .seconds);
-    }
-    return best;
+    return emd::RunPipeline(tweets, dim, 1, batch_size,
+                            /*batch_capable=*/true)
+        .seconds;
   };
-  const double with_obs = best_serial_seconds(true);
-  const double without_obs = best_serial_seconds(false);
+  std::vector<double> ratios;
+  std::vector<double> deltas;
+  for (int p = 0; p < pairs; ++p) {
+    double on = 0, off = 0;
+    if (p % 2 == 0) {
+      on = serial_seconds(true);
+      off = serial_seconds(false);
+    } else {
+      off = serial_seconds(false);
+      on = serial_seconds(true);
+    }
+    ratios.push_back(on / off);
+    deltas.push_back(on - off);
+  }
   emd::obs::Metrics().set_enabled(true);
-  const double overhead_pct = (with_obs / without_obs - 1.0) * 100.0;
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[v.size() / 2];
+  };
+  const double overhead_pct = (median(ratios) - 1.0) * 100.0;
   // Smoke runs finish in single-digit milliseconds, where scheduler jitter
   // dwarfs the effect under test — the real 2% assertion is the full run.
   const double budget_pct = smoke ? 25.0 : 2.0;
-  std::printf("  obs overhead: %+.2f%% (budget %.0f%%)\n", overhead_pct,
-              budget_pct);
-  reporter.Add("obs/overhead", 1, (with_obs - without_obs) * 1e9, overhead_pct,
+  std::printf(
+      "  obs overhead: %+.2f%% (median of %d interleaved pairs; budget "
+      "%.0f%%)\n",
+      overhead_pct, pairs, budget_pct);
+  reporter.Add("obs/overhead", pairs, median(deltas) * 1e9, overhead_pct,
                "percent");
 
   if (!reporter.WriteJson(out_path)) return 1;

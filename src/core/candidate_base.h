@@ -15,6 +15,8 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "nn/matrix.h"
@@ -36,7 +38,10 @@ struct MentionRef {
   bool locally_detected = false;
 };
 
-/// One candidate record.
+/// One candidate record. The byte-relevant fields (`key`, `mentions`,
+/// `embedding_sum`, `mention_embeddings`) change only through CandidateBase,
+/// which keeps its running byte tally in step with them; callers holding a
+/// record reference write the label and probability only.
 struct CandidateRecord {
   int candidate_id = -1;
   std::string key;      // case-folded surface ("andy beshear")
@@ -87,9 +92,20 @@ struct CandidateRecord {
   }
 };
 
+// Growing records_ must move records (keeping every capacity the byte tally
+// counted), never copy them.
+static_assert(std::is_nothrow_move_constructible_v<CandidateRecord>);
+
 /// Dense store indexed by CTrie candidate id.
 class CandidateBase {
  public:
+  CandidateBase() = default;
+  // Move-only: a copy would reset the capacities under the byte tally.
+  CandidateBase(const CandidateBase&) = delete;
+  CandidateBase& operator=(const CandidateBase&) = delete;
+  CandidateBase(CandidateBase&&) = default;
+  CandidateBase& operator=(CandidateBase&&) = default;
+
   /// Ensures a record exists for `candidate_id` (ids are dense CTrie ids).
   CandidateRecord& GetOrCreate(int candidate_id, const std::string& key,
                                int num_tokens) {
@@ -101,8 +117,21 @@ class CandidateBase {
       rec.candidate_id = candidate_id;
       rec.key = key;
       rec.num_tokens = num_tokens;
+      record_bytes_ += rec.ApproxBytes();
     }
     return rec;
+  }
+
+  /// Restore-path only (checkpoint): installs a complete record read back
+  /// from disk at `candidate_id`, which must not hold a live record.
+  void Restore(int candidate_id, CandidateRecord record) {
+    EMD_CHECK(!Contains(candidate_id));
+    if (candidate_id >= static_cast<int>(records_.size())) {
+      records_.resize(candidate_id + 1);
+    }
+    record.candidate_id = candidate_id;
+    records_[candidate_id] = std::move(record);
+    record_bytes_ += records_[candidate_id].ApproxBytes();
   }
 
   CandidateRecord& at(int candidate_id) {
@@ -132,10 +161,16 @@ class CandidateBase {
   /// last pooled mention.
   void AddMention(int candidate_id, const MentionRef& mention, const Mat& local_emb) {
     CandidateRecord& rec = at(candidate_id);
+    const size_t mentions_cap = rec.mentions.capacity();
     rec.mentions.push_back(mention);
+    record_bytes_ +=
+        (rec.mentions.capacity() - mentions_cap) * sizeof(MentionRef);
     const uint64_t pos = static_cast<uint64_t>(mention.tweet_index);
     if (pos > rec.last_mention_pos) rec.last_mention_pos = pos;
     if (local_emb.empty()) return;
+    if (rec.embedding_sum.empty()) {
+      record_bytes_ += local_emb.size() * sizeof(float);
+    }
     if (decay_lambda_ == 1.0) {
       // Legacy path, byte-for-byte the pre-decay pooling.
       if (rec.embedding_sum.empty()) {
@@ -165,7 +200,13 @@ class CandidateBase {
       ++rec.embedding_count;
     }
     rec.last_update_pos = pos;
-    if (retain_mention_embeddings_) rec.mention_embeddings.push_back(local_emb);
+    if (retain_mention_embeddings_) {
+      const size_t embeddings_cap = rec.mention_embeddings.capacity();
+      rec.mention_embeddings.push_back(local_emb);
+      record_bytes_ +=
+          (rec.mention_embeddings.capacity() - embeddings_cap) * sizeof(Mat) +
+          local_emb.size() * sizeof(float);
+    }
   }
 
   /// Frees the record for `candidate_id`, preserving only its final label in
@@ -175,6 +216,7 @@ class CandidateBase {
   void Evict(int candidate_id) {
     CandidateRecord& rec = at(candidate_id);
     SetEvictedLabel(candidate_id, rec.label);
+    record_bytes_ -= rec.ApproxBytes();
     rec = CandidateRecord();
   }
 
@@ -210,10 +252,15 @@ class CandidateBase {
     return n;
   }
 
-  /// Approximate heap bytes across all live records. O(records).
-  size_t ApproxBytes() const {
-    size_t bytes = records_.capacity() * sizeof(CandidateRecord) +
-                   evicted_labels_.capacity();
+  /// Approximate heap bytes across all live records. O(1): the per-record
+  /// terms are a running tally kept by GetOrCreate, AddMention, Evict and
+  /// Restore. Always equal to RecountApproxBytes().
+  size_t ApproxBytes() const { return FixedBytes() + record_bytes_; }
+
+  /// Reference walk over every record, O(records); tests compare the tally
+  /// against it.
+  size_t RecountApproxBytes() const {
+    size_t bytes = FixedBytes();
     for (const CandidateRecord& rec : records_) {
       if (rec.candidate_id >= 0) bytes += rec.ApproxBytes();
     }
@@ -239,11 +286,17 @@ class CandidateBase {
   bool retain_mention_embeddings() const { return retain_mention_embeddings_; }
 
  private:
+  size_t FixedBytes() const {
+    return records_.capacity() * sizeof(CandidateRecord) +
+           evicted_labels_.capacity();
+  }
+
   std::vector<CandidateRecord> records_;
   std::vector<uint8_t> evicted_labels_;  // 0 = not evicted, else label + 1
   uint64_t decay_half_life_ = 0;
   double decay_lambda_ = 1.0;
   bool retain_mention_embeddings_ = false;
+  size_t record_bytes_ = 0;  // sum of ApproxBytes() over live records
 };
 
 }  // namespace emd

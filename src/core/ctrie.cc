@@ -6,7 +6,10 @@
 
 namespace emd {
 
-CTrie::CTrie() { nodes_.emplace_back(); }
+CTrie::CTrie() {
+  nodes_.emplace_back();
+  tallied_bytes_ = NodeBytes(nodes_[0]);
+}
 
 void CTrie::BindSymbolTable(SymbolTable* symbols) {
   EMD_CHECK(nodes_.size() == 1 && nodes_[0].children.empty())
@@ -44,11 +47,14 @@ int CTrie::AllocNode() {
   if (!free_nodes_.empty()) {
     const int slot = free_nodes_.back();
     free_nodes_.pop_back();
+    tallied_bytes_ -= NodeBytes(nodes_[slot]);
     nodes_[slot] = Node();
+    tallied_bytes_ += NodeBytes(nodes_[slot]);
     return slot;
   }
   const int slot = static_cast<int>(nodes_.size());
   nodes_.emplace_back();
+  tallied_bytes_ += NodeBytes(nodes_.back());
   return slot;
 }
 
@@ -63,8 +69,11 @@ int CTrie::Insert(const std::vector<std::string>& tokens) {
     auto it = nodes_[node].children.find(folded);
     if (it == nodes_[node].children.end()) {
       const int child = AllocNode();
-      nodes_[node].children.emplace(folded, child);
+      tallied_bytes_ -= NodeBytes(nodes_[node]);
+      const auto edge = nodes_[node].children.emplace(folded, child).first;
+      tallied_bytes_ += EdgeBytes(edge->first);
       if (symbols_ != nullptr) AddSymEdge(node, folded, child);
+      tallied_bytes_ += NodeBytes(nodes_[node]);
       node = child;
     } else {
       node = it->second;
@@ -74,6 +83,7 @@ int CTrie::Insert(const std::vector<std::string>& tokens) {
   const int id = static_cast<int>(candidate_keys_.size());
   nodes_[node].candidate_id = id;
   candidate_keys_.push_back(std::move(key));
+  tallied_bytes_ += candidate_keys_.back().capacity();
   candidate_lengths_.push_back(static_cast<int>(tokens.size()));
   tombstoned_.push_back(0);
   max_len_ = std::max(max_len_, static_cast<int>(tokens.size()));
@@ -169,8 +179,10 @@ int CTrie::Prune(int candidate_id) {
   EMD_CHECK_EQ(nodes_[node].candidate_id, candidate_id);
   nodes_[node].candidate_id = kNoCandidate;
   tombstoned_[candidate_id] = 1;
+  tallied_bytes_ -= candidate_keys_[candidate_id].capacity();
   candidate_keys_[candidate_id].clear();
   candidate_keys_[candidate_id].shrink_to_fit();
+  tallied_bytes_ += candidate_keys_[candidate_id].capacity();
   candidate_lengths_[candidate_id] = 0;
   ++num_tombstones_;
 
@@ -182,9 +194,16 @@ int CTrie::Prune(int candidate_id) {
         !nodes_[node].children.empty()) {
       break;
     }
+    Node& parent = nodes_[path[i].parent];
+    tallied_bytes_ -= NodeBytes(parent);
     if (symbols_ != nullptr) RemoveSymEdge(path[i].parent, path[i].token);
-    nodes_[path[i].parent].children.erase(path[i].token);
+    const auto edge = parent.children.find(std::string_view(path[i].token));
+    tallied_bytes_ -= EdgeBytes(edge->first);
+    parent.children.erase(edge);
+    tallied_bytes_ += NodeBytes(parent);
+    tallied_bytes_ -= NodeBytes(nodes_[node]);
     nodes_[node] = Node();
+    tallied_bytes_ += NodeBytes(nodes_[node]);
     free_nodes_.push_back(node);
     ++pruned;
     node = path[i].parent;
@@ -195,28 +214,23 @@ int CTrie::Prune(int candidate_id) {
 int CTrie::AppendTombstone() {
   const int id = static_cast<int>(candidate_keys_.size());
   candidate_keys_.emplace_back();
+  tallied_bytes_ += candidate_keys_.back().capacity();
   candidate_lengths_.push_back(0);
   tombstoned_.push_back(1);
   ++num_tombstones_;
   return id;
 }
 
-size_t CTrie::ApproxBytes() const {
+size_t CTrie::RecountApproxBytes() const {
   // Flat vectors plus, per node, the hash map's bucket array and one heap
   // node per edge (key string + child id + bookkeeping pointer).
-  size_t bytes = nodes_.capacity() * sizeof(Node) +
-                 free_nodes_.capacity() * sizeof(int) +
-                 candidate_keys_.capacity() * sizeof(std::string) +
-                 candidate_lengths_.capacity() * sizeof(int) +
-                 tombstoned_.capacity() * sizeof(uint8_t);
+  size_t bytes = FixedBytes();
   for (const auto& key : candidate_keys_) bytes += key.capacity();
-  constexpr size_t kEdgeOverhead = 2 * sizeof(void*) + sizeof(int);
   for (const auto& node : nodes_) {
-    bytes += node.children.bucket_count() * sizeof(void*);
-    bytes += node.sym_edges.capacity() * sizeof(std::pair<int32_t, int32_t>);
+    bytes += NodeBytes(node);
     for (const auto& [token, child] : node.children) {
       (void)child;
-      bytes += kEdgeOverhead + sizeof(std::string) + token.capacity();
+      bytes += EdgeBytes(token);
     }
   }
   return bytes;

@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -42,6 +43,13 @@ class CTrie {
   static constexpr int kNoCandidate = -1;
 
   CTrie();
+
+  // Move-only: a copied vector or string gets a fresh capacity, which would
+  // silently invalidate the running byte tally behind ApproxBytes().
+  CTrie(const CTrie&) = delete;
+  CTrie& operator=(const CTrie&) = delete;
+  CTrie(CTrie&&) = default;
+  CTrie& operator=(CTrie&&) = default;
 
   /// Registers a candidate (sequence of tokens; case-folded internally).
   /// Returns its stable candidate id; re-inserting returns the existing id.
@@ -143,9 +151,17 @@ class CTrie {
   }
 
   /// Approximate heap bytes held by the trie: node slots, edge map entries,
-  /// and candidate key strings. O(nodes); an estimate for the memory
-  /// governor's budget accounting, not an allocator-exact figure.
-  size_t ApproxBytes() const;
+  /// and candidate key strings — an estimate for the memory governor's
+  /// budget accounting, not an allocator-exact figure. O(1): the per-node,
+  /// per-edge and per-key terms are a running tally kept by every mutation
+  /// (AllocNode, Insert, Prune, AppendTombstone); vector capacities are read
+  /// at query time. Always equal to RecountApproxBytes().
+  size_t ApproxBytes() const { return FixedBytes() + tallied_bytes_; }
+
+  /// Reference implementation of ApproxBytes(): walks every node, edge and
+  /// key, O(nodes). Tests check the running tally against it; no cycle path
+  /// calls it.
+  size_t RecountApproxBytes() const;
 
   /// Longest depth of any registered candidate (scan window bound k of
   /// §V-A). Monotonic: pruning does not shrink it — a stale upper bound only
@@ -164,6 +180,29 @@ class CTrie {
     std::vector<std::pair<int32_t, int32_t>> sym_edges;
     int candidate_id = kNoCandidate;
   };
+  // Growing nodes_ must move nodes (keeping every bucket array and edge-array
+  // capacity the byte tally counted), never copy them.
+  static_assert(std::is_nothrow_move_constructible_v<Node>);
+
+  /// Heap bytes of one node slot outside its edge entries: the edge map's
+  /// bucket array and the symbol-edge array.
+  static size_t NodeBytes(const Node& node) {
+    return node.children.bucket_count() * sizeof(void*) +
+           node.sym_edges.capacity() * sizeof(std::pair<int32_t, int32_t>);
+  }
+  /// Heap bytes of one edge map entry (key string + child id + bookkeeping).
+  static size_t EdgeBytes(const std::string& token) {
+    return 2 * sizeof(void*) + sizeof(int) + sizeof(std::string) +
+           token.capacity();
+  }
+  /// The O(1) part of the byte figure: capacities of the flat vectors.
+  size_t FixedBytes() const {
+    return nodes_.capacity() * sizeof(Node) +
+           free_nodes_.capacity() * sizeof(int) +
+           candidate_keys_.capacity() * sizeof(std::string) +
+           candidate_lengths_.capacity() * sizeof(int) +
+           tombstoned_.capacity() * sizeof(uint8_t);
+  }
 
   int AllocNode();
   void AddSymEdge(int node, std::string_view folded, int child);
@@ -177,6 +216,9 @@ class CTrie {
   int num_tombstones_ = 0;
   int max_len_ = 0;
   SymbolTable* symbols_ = nullptr;  // not owned; null = no symbol index
+  // Running sum of NodeBytes over every slot (free-listed ones included),
+  // EdgeBytes over every edge and the capacity of every candidate key.
+  size_t tallied_bytes_ = 0;
 };
 
 }  // namespace emd

@@ -19,6 +19,9 @@ EntityClassifier::EntityClassifier(EntityClassifierOptions options)
       feat_std_(1, options.input_dim) {
   feat_std_.Fill(1.f);
   BuildModel();
+  // Same packing rule as Train()/Load(), so the inference path depends on
+  // the backend alone, not on how this object got its weights.
+  if (kernels::Int8Enabled()) PrepareQuantizedInference();
 }
 
 void EntityClassifier::BuildModel() {

@@ -97,7 +97,8 @@ class EntityClassifier {
 
   /// Packs int8 copies of the hidden and output layers; afterwards
   /// Probability/ProbabilitiesBatched run their GEMMs through the quantized
-  /// backend. Called by Train()/Load() when kernels::Int8Enabled().
+  /// backend. Called by the constructor, Train() and Load() when
+  /// kernels::Int8Enabled().
   void PrepareQuantizedInference();
 
   /// Trains on labelled examples with an internal 80/20 split.

@@ -84,7 +84,9 @@ void ShardedGlobalState::RegisterFirstToken(int shard,
     EMD_CHECK_EQ(it->node, node);  // root edges are stable until pruned
     return;
   }
+  const size_t cap = list.capacity();
   list.insert(it, {shard, node});
+  dispatch_bytes_ += (list.capacity() - cap) * sizeof(DispatchEntry);
 }
 
 int ShardedGlobalState::DispatchFanout(int32_t sym) const {
@@ -337,11 +339,9 @@ CandidateRecord& ShardedGlobalState::GetOrCreate(int gid) {
                                    sh.trie.CandidateLength(r.local));
 }
 
-CandidateRecord& ShardedGlobalState::GetOrCreate(int gid,
-                                                 const std::string& key,
-                                                 int num_tokens) {
+void ShardedGlobalState::Restore(int gid, CandidateRecord record) {
   const GidRef r = ref(gid);
-  return shards_[r.shard].candidates.GetOrCreate(r.local, key, num_tokens);
+  shards_[r.shard].candidates.Restore(r.local, std::move(record));
 }
 
 CandidateRecord& ShardedGlobalState::at(int gid) {
@@ -395,6 +395,7 @@ int ShardedGlobalState::Prune(int gid) {
     auto it = std::lower_bound(
         list.begin(), list.end(), r.shard,
         [](const DispatchEntry& e, int shard) { return e.shard < shard; });
+    // erase never shrinks capacity, so dispatch_bytes_ is unchanged.
     if (it != list.end() && it->shard == r.shard) list.erase(it);
   }
   return pruned;
@@ -438,10 +439,8 @@ size_t ShardedGlobalState::ApproxBytes() const {
   // and first-token dispatch), so the memory governor's budget sees the
   // interned index too.
   size_t bytes = symbols_->ApproxBytes() +
-                 first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
-  for (const auto& list : first_token_) {
-    bytes += list.capacity() * sizeof(DispatchEntry);
-  }
+                 first_token_.capacity() * sizeof(std::vector<DispatchEntry>) +
+                 dispatch_bytes_;
   for (int s = 0; s < shard_count(); ++s) bytes += ShardApproxBytes(s);
   return bytes;
 }
@@ -451,6 +450,24 @@ size_t ShardedGlobalState::ShardApproxBytes(int shard) const {
   EMD_CHECK_LT(shard, shard_count());
   const Shard& sh = shards_[shard];
   return sh.trie.ApproxBytes() + sh.candidates.ApproxBytes() +
+         sh.local_to_gid.capacity() * sizeof(int);
+}
+
+size_t ShardedGlobalState::RecountApproxBytes() const {
+  size_t bytes = symbols_->RecountApproxBytes() +
+                 first_token_.capacity() * sizeof(std::vector<DispatchEntry>);
+  for (const auto& list : first_token_) {
+    bytes += list.capacity() * sizeof(DispatchEntry);
+  }
+  for (int s = 0; s < shard_count(); ++s) bytes += RecountShardApproxBytes(s);
+  return bytes;
+}
+
+size_t ShardedGlobalState::RecountShardApproxBytes(int shard) const {
+  EMD_CHECK_GE(shard, 0);
+  EMD_CHECK_LT(shard, shard_count());
+  const Shard& sh = shards_[shard];
+  return sh.trie.RecountApproxBytes() + sh.candidates.RecountApproxBytes() +
          sh.local_to_gid.capacity() * sizeof(int);
 }
 

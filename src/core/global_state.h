@@ -151,8 +151,11 @@ class ShardedGlobalState {
 
   /// Ensures a record exists for `gid` (key/len read from the owning trie).
   CandidateRecord& GetOrCreate(int gid);
-  /// Restore-path variant with an explicit key (the trie is already built).
-  CandidateRecord& GetOrCreate(int gid, const std::string& key, int num_tokens);
+  /// Restore-path only: installs a record read back from a checkpoint (the
+  /// trie is already built).
+  void Restore(int gid, CandidateRecord record);
+  /// Mutable record access for labelling. Byte-relevant fields change only
+  /// through GetOrCreate / AddMention / Evict / Restore (CandidateRecord).
   CandidateRecord& at(int gid);
   const CandidateRecord& at(int gid) const;
   bool Contains(int gid) const;
@@ -177,10 +180,17 @@ class ShardedGlobalState {
 
   // --- Accounting & views -------------------------------------------------
 
-  /// Approximate heap bytes across all shards (tries + candidate records).
+  /// Approximate heap bytes across all shards (tries + candidate records)
+  /// plus the symbol table and first-token dispatch. O(shards): every
+  /// structure keeps a running tally, exactly equal to RecountApproxBytes().
   size_t ApproxBytes() const;
-  /// Approximate heap bytes held by one shard.
+  /// Approximate heap bytes held by one shard. O(1).
   size_t ShardApproxBytes(int shard) const;
+  /// Reference implementations of the two figures above: walk every trie
+  /// node, candidate record, symbol and dispatch list. Tests compare the
+  /// tallies against them; no cycle path calls them.
+  size_t RecountApproxBytes() const;
+  size_t RecountShardApproxBytes(int shard) const;
   /// Live candidates homed in one shard.
   int ShardLiveCandidates(int shard) const;
 
@@ -243,6 +253,8 @@ class ShardedGlobalState {
   // (unregister when the root edge disappears), so a recycled symbol id
   // always starts with an empty slot.
   std::vector<std::vector<DispatchEntry>> first_token_;
+  // Running sum of list capacities in first_token_ (in DispatchEntry bytes).
+  size_t dispatch_bytes_ = 0;
   // Lazily resolved per-shard gauges (registry owns the objects).
   std::vector<obs::Gauge*> shard_candidate_gauges_;
   std::vector<obs::Gauge*> shard_byte_gauges_;

@@ -594,8 +594,11 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
     int32_t num_tokens = 0;
     EMD_RETURN_IF_ERROR(reader.ReadString(&key));
     EMD_RETURN_IF_ERROR(reader.ReadI32(&num_tokens));
-    CandidateRecord& rec =
-        state.GetOrCreate(static_cast<int>(c), key, num_tokens);
+    // Built off to the side and installed whole, so the candidate store's
+    // byte tally sees the finished record.
+    CandidateRecord rec;
+    rec.key = key;
+    rec.num_tokens = num_tokens;
     uint32_t num_mentions = 0;
     EMD_RETURN_IF_ERROR(reader.ReadU32(&num_mentions));
     rec.mentions.reserve(num_mentions);
@@ -648,6 +651,7 @@ Status Globalizer::RestoreCheckpoint(const std::string& path) {
       EMD_RETURN_IF_ERROR(ReadMat(&reader, &emb));
       rec.mention_embeddings.push_back(std::move(emb));
     }
+    state.Restore(static_cast<int>(c), std::move(rec));
   }
 
   // v3: metrics block. Parsed fully before the commit point below so a

@@ -7,8 +7,10 @@
 // an operator-set byte budget with graceful, observable degradation instead
 // of an OOM kill:
 //
-//   * byte accounting — ApproxBytes() over the three stores, recomputed at
-//     every batch barrier and exported as gauges;
+//   * byte accounting — ApproxBytes() over the three stores, read at every
+//     batch barrier and exported as gauges. The global-state figure is a
+//     running tally kept by each structure's mutations (O(shards) to read,
+//     exactly equal to ShardedGlobalState::RecountApproxBytes());
 //   * soft watermark — reclaim in escalating rungs: trim token text of
 //     tweets that finished Global EMD, then evict cold candidates (coldest
 //     first by last-mention recency; confirmed non-entities before

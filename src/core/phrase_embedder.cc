@@ -39,6 +39,9 @@ PhraseEmbedder::PhraseEmbedder(int in_dim, int out_dim, uint64_t seed)
     : w_(in_dim, out_dim), b_(1, out_dim) {
   Rng rng(seed);
   w_.InitXavier(&rng);
+  // Same packing rule as Train()/Load(), so the inference path depends on
+  // the backend alone, not on how this object got its weights.
+  if (kernels::Int8Enabled()) PrepareQuantizedInference();
 }
 
 Mat PhraseEmbedder::EmbedAll(const Mat& token_embeddings) const {

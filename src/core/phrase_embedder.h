@@ -73,7 +73,7 @@ class PhraseEmbedder {
 
   /// Packs an int8 copy of W_ff/b_ff; afterwards Embed/EmbedSpansInto run
   /// the dense layer through the quantized backend. Called automatically by
-  /// Train()/Load() when kernels::Int8Enabled().
+  /// the constructor, Train() and Load() when kernels::Int8Enabled().
   void PrepareQuantizedInference();
   bool quantized() const { return q_.packed(); }
 

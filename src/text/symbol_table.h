@@ -38,6 +38,14 @@ class SymbolTable {
  public:
   static constexpr int32_t kNoSymbol = -1;
 
+  SymbolTable() = default;
+  // Move-only, like CTrie: a copy would reset string capacities under the
+  // running byte tally.
+  SymbolTable(const SymbolTable&) = delete;
+  SymbolTable& operator=(const SymbolTable&) = delete;
+  SymbolTable(SymbolTable&&) = default;
+  SymbolTable& operator=(SymbolTable&&) = default;
+
   /// Interns `folded` (must already be case-folded) and takes one reference.
   /// Returns its symbol id; a dead id slot is reused before a new one grows.
   int32_t Acquire(std::string_view folded);
@@ -68,16 +76,34 @@ class SymbolTable {
   int capacity() const { return static_cast<int>(texts_.size()); }
 
   /// Approximate heap bytes (map buckets + entries + text storage). An
-  /// estimate for the memory governor, not allocator-exact.
-  size_t ApproxBytes() const;
+  /// estimate for the memory governor, not allocator-exact. O(1): string
+  /// capacities are a running tally kept by Acquire/Release. Always equal to
+  /// RecountApproxBytes().
+  size_t ApproxBytes() const { return FixedBytes() + text_bytes_; }
+
+  /// Reference walk over every text and map key, O(symbols); tests compare
+  /// the tally against it.
+  size_t RecountApproxBytes() const;
 
  private:
+  /// The O(1) part of the byte figure: bucket array, per-entry overhead and
+  /// vector capacities.
+  size_t FixedBytes() const {
+    constexpr size_t kEntryOverhead = 2 * sizeof(void*) + sizeof(int32_t);
+    return ids_.bucket_count() * sizeof(void*) +
+           ids_.size() * (kEntryOverhead + sizeof(std::string)) +
+           texts_.capacity() * sizeof(std::string) +
+           refs_.capacity() * sizeof(uint32_t) +
+           free_ids_.capacity() * sizeof(int32_t);
+  }
+
   std::unordered_map<std::string, int32_t, TransparentStringHash,
                      TransparentStringEq>
       ids_;
   std::vector<std::string> texts_;   // id -> folded text ("" when dead)
   std::vector<uint32_t> refs_;       // id -> live references
   std::vector<int32_t> free_ids_;    // dead ids awaiting reuse
+  size_t text_bytes_ = 0;  // capacity of every texts_ entry and map key
 };
 
 }  // namespace emd

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "accounting_check.h"
 #include "core/entity_classifier.h"
 #include "core/globalizer.h"
 #include "core/memory_governor.h"
@@ -414,6 +415,8 @@ TEST(GovernedPipelineTest, EvictionPreservesAlreadyEmittedMentions) {
     std::span<const AnnotatedTweet> batch(d.tweets.data() + i, 4);
     ASSERT_TRUE(ungoverned.ProcessBatch(batch).ok());
     ASSERT_TRUE(evicting.ProcessBatch(batch).ok());
+    ExpectExactAccounting(evicting.global_state(),
+                          "cycle at tweet " + std::to_string(i));
     ASSERT_TRUE(ungoverned.Finalize().ok());
     ASSERT_TRUE(evicting.Finalize().ok());
   }
@@ -559,6 +562,8 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
   ASSERT_TRUE(
       g.ProcessBatch(std::span<const AnnotatedTweet>(d.tweets.data(), 4)).ok());
   ASSERT_EQ(g.memory_governor().stats().evicted_candidates, 1u);
+  EXPECT_GT(g.memory_governor().stats().trimmed_tweets, 0u);
+  ExpectExactAccounting(g.global_state(), "after the aborted sweep");
   ASSERT_TRUE(g.SaveCheckpoint(path).ok());
   failpoint::DisableAll();
 
@@ -567,12 +572,20 @@ TEST(MemoryCheckpointTest, KillAndResumeMidEvictionKeepsStateConsistent) {
   ASSERT_TRUE(resumed.RestoreCheckpoint(path).ok());
   CheckTrieCandidateInvariants(resumed.ctrie(), resumed.candidate_base());
   EXPECT_EQ(resumed.memory_governor().stats().evicted_candidates, 1u);
+  ExpectExactAccounting(resumed.global_state(), "after restore");
 
-  // The resumed stream keeps processing (and keeps evicting) normally.
-  ASSERT_TRUE(resumed
-                  .ProcessBatch(std::span<const AnnotatedTweet>(
-                      d.tweets.data() + 4, d.tweets.size() - 4))
-                  .ok());
+  // The resumed stream keeps processing (and keeps evicting) normally; the
+  // governor's byte tally stays exact after every cycle.
+  for (size_t i = 4; i < d.tweets.size(); i += 4) {
+    const size_t n = std::min<size_t>(4, d.tweets.size() - i);
+    ASSERT_TRUE(resumed
+                    .ProcessBatch(
+                        std::span<const AnnotatedTweet>(d.tweets.data() + i, n))
+                    .ok());
+    ExpectExactAccounting(resumed.global_state(),
+                          "resumed cycle at tweet " + std::to_string(i));
+  }
+  EXPECT_GT(resumed.memory_governor().stats().evicted_candidates, 1u);
   EXPECT_TRUE(resumed.Finalize().ok());
   CheckTrieCandidateInvariants(resumed.ctrie(), resumed.candidate_base());
 }

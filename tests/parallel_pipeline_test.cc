@@ -223,15 +223,20 @@ uint64_t Digest(const RunResult& r) {
 // Golden digests of the per-tweet arms below, recorded when the pipeline
 // still embedded every mention with its own phrase-embedder call (the path
 // the fused per-tweet embedding replaced). The fp32 GEMM backends agree only
-// within 1e-5, so each dispatched backend has its own value.
-uint64_t Golden(uint64_t avx2, uint64_t scalar) {
+// within 1e-5, so each dispatched backend has its own value. Under
+// EMD_BACKEND=int8 the phrase embedder runs int8-packed weights (exact
+// integer accumulation, the same on every host), which has its own value.
+uint64_t Golden(uint64_t avx2, uint64_t scalar, uint64_t int8) {
+  if (kernels::Int8Enabled()) return int8;
   return std::strcmp(kernels::Kernels().name, "scalar") == 0 ? scalar : avx2;
 }
 uint64_t RaggedGolden() {
-  return Golden(0x3023a1d142f3af47ULL, 0xa2cf012c5cef0f30ULL);
+  return Golden(0x3023a1d142f3af47ULL, 0xa2cf012c5cef0f30ULL,
+                0xbe8e8cfda143f319ULL);
 }
 uint64_t ReplicaGolden() {
-  return Golden(0xae8343223baa0209ULL, 0x9ebf65b890970b81ULL);
+  return Golden(0xae8343223baa0209ULL, 0x9ebf65b890970b81ULL,
+                0x0c80ee3339877039ULL);
 }
 
 void ExpectIdentical(const RunResult& serial, const RunResult& parallel) {

@@ -39,6 +39,7 @@ void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
+#include "accounting_check.h"
 #include "core/ctrie.h"
 #include "core/global_state.h"
 #include "core/globalizer.h"
@@ -196,6 +197,8 @@ TEST(ScanMatcherTest, FixedCorpusIdenticalAcrossMatchersAndShardCounts) {
 // 1-shard legacy reference. Vocabulary includes non-ASCII tokens (ASCII-only
 // case folding must still match byte-for-byte) and tweets inject registered
 // phrases under random casing between in-vocab and out-of-vocab noise.
+// After every insert, pooled mention, eviction, prune and restored record,
+// the O(1) byte tallies must equal the reference walks exactly.
 TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   Rng rng(20260808);
   std::vector<std::string> vocab;
@@ -209,8 +212,16 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   for (int sc : shard_counts) {
     states.push_back(std::make_unique<ShardedGlobalState>(sc, MK::kLegacy));
     states.push_back(std::make_unique<ShardedGlobalState>(sc, MK::kInterned));
+    // Retained per-mention embeddings exercise the last byte-relevant field.
+    states.back()->set_retain_mention_embeddings(true);
   }
   ShardedGlobalState& reference = *states[0];
+  auto check_accounting = [&](const std::string& step) {
+    for (size_t s = 0; s < states.size(); ++s) {
+      ExpectExactAccounting(*states[s], step + ", state " + std::to_string(s));
+    }
+  };
+  const Mat embedding(1, 4, {0.5f, -1.f, 2.f, 0.25f});
 
   std::vector<std::vector<std::string>> registered;
   auto random_phrase = [&] {
@@ -248,10 +259,17 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
     for (int k = 0; k < 24; ++k) {
       const auto phrase = random_phrase();
       const int before = reference.num_candidates();
+      const std::string step =
+          "round " + std::to_string(round) + " insert " + std::to_string(k);
       for (auto& state : states) {
         const int gid = state->Insert(phrase);
         state->GetOrCreate(gid);
+        ExpectExactAccounting(*state, step);
+        state->AddMention(
+            gid, {.tweet_index = static_cast<size_t>(k), .span = {0, 1}},
+            embedding);
       }
+      check_accounting(step + " + mention");
       if (reference.num_candidates() > before) registered.push_back(phrase);
     }
     // Evict + prune a few random live gids from every state (the memory
@@ -259,10 +277,14 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
     for (int k = 0; k < 8; ++k) {
       const int gid = rng.NextInt(0, reference.num_candidates() - 1);
       if (reference.IsTombstone(gid)) continue;
+      const std::string step =
+          "round " + std::to_string(round) + " evict gid " + std::to_string(gid);
       for (auto& state : states) {
         state->Evict(gid);
+        ExpectExactAccounting(*state, step);
         state->Prune(gid);
       }
+      check_accounting(step + " + prune");
     }
     // Scan: every state must reproduce the reference exactly.
     for (int t = 0; t < 32; ++t) {
@@ -280,17 +302,26 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
 
   // Rebuild-restore interleaving: reconstruct each layout the way checkpoint
   // restore does (live keys re-inserted in gid order, tombstones appended as
-  // holes) and require the rebuilt scan to still match the live reference —
-  // this is exactly the path that rebuilds the symbol table from the tries.
+  // holes, then the live records installed) and require the rebuilt scan to
+  // still match the live reference — this is exactly the path that rebuilds
+  // the symbol table from the tries.
   for (int sc : shard_counts) {
     for (MK kind : {MK::kLegacy, MK::kInterned}) {
       ShardedGlobalState rebuilt(sc, kind);
+      const std::string where = "rebuilt shards=" + std::to_string(sc);
       for (int gid = 0; gid < reference.num_candidates(); ++gid) {
         if (reference.IsTombstone(gid)) {
           rebuilt.AppendTombstone();
         } else {
           rebuilt.Insert(Split(reference.CandidateKey(gid)));
         }
+        ExpectExactAccounting(rebuilt, where + " gid " + std::to_string(gid));
+      }
+      for (int gid = 0; gid < reference.num_candidates(); ++gid) {
+        if (!reference.Contains(gid)) continue;
+        rebuilt.Restore(gid, reference.at(gid));
+        ExpectExactAccounting(rebuilt,
+                              where + " record " + std::to_string(gid));
       }
       for (int t = 0; t < 16; ++t) {
         const auto tokens = random_tweet();

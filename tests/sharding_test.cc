@@ -14,12 +14,14 @@
 #include <string>
 #include <vector>
 
+#include "accounting_check.h"
 #include "core/entity_classifier.h"
 #include "core/global_state.h"
 #include "core/globalizer.h"
 #include "core/phrase_embedder.h"
 #include "core/shard_router.h"
 #include "mock_local_system.h"
+#include "obs/metrics.h"
 #include "stream/datasets.h"
 #include "stream/multi_stream.h"
 #include "text/tweet_tokenizer.h"
@@ -255,6 +257,18 @@ TEST(ShardedPipelineTest, ParallelShardAwareMergeMatchesSerialSingleShard) {
 
   EXPECT_EQ(MentionDigest(ref_out), MentionDigest(out));
   ExpectSameGlobalState(reference.global_state(), sharded.global_state());
+
+  // The per-shard byte gauges published by the last cycle carry the exact
+  // figure the reference walk computes (Finalize only writes labels).
+  const ShardedGlobalState& state = sharded.global_state();
+  ExpectExactAccounting(state, "after the sharded run");
+  for (int s = 0; s < state.shard_count(); ++s) {
+    const obs::Gauge* bytes = obs::Metrics().GetGauge(
+        "emd_shard_bytes", "", {"shard", std::to_string(s)});
+    EXPECT_EQ(bytes->value(),
+              static_cast<int64_t>(state.RecountShardApproxBytes(s)))
+        << "shard " << s;
+  }
 }
 
 // -------------------------------------------------------- Checkpoint v5 --
