@@ -30,10 +30,11 @@
 #                                  # bench_multistream run asserting 100+
 #                                  # streams and noisy-neighbor isolation
 #   scripts/check.sh --scan        # additionally the scan label (symbol
-#                                  # table, interned-vs-legacy bit-identity
-#                                  # fuzz, zero-alloc scan) and the scan
-#                                  # micro-bench at 100k candidates / 13
-#                                  # shards asserting the >=2x speedup gate
+#                                  # table, brute-force-oracle fuzz, golden
+#                                  # pipeline digest, zero-alloc scan) and
+#                                  # the scan micro-bench at 100k candidates
+#                                  # / 13 shards asserting 1-shard mention
+#                                  # identity and exact byte accounting
 #
 # Run from the repository root.
 set -euo pipefail
@@ -119,12 +120,13 @@ if [[ "$SHARD" == 1 ]]; then
 fi
 
 if [[ "$SCAN" == 1 ]]; then
-  # The interned-symbol matcher: symbol-table/dispatch unit tests, the
-  # randomized legacy-vs-interned bit-identity fuzz, the pipeline digest
-  # matrix, and the zero-allocation gate — then the scan micro-bench at
-  # 100k candidates / 13 shards, which exits nonzero unless the interned
-  # scan clears 2x the legacy lockstep throughput (bit-identity rechecked
-  # on every benchmarked tweet). JSON lands in build/bench/BENCH_micro.json.
+  # The candidate scan: symbol-table/dispatch unit tests, the randomized
+  # fuzz against a brute-force longest-match oracle, the golden pipeline
+  # digest over shards x threads, and the zero-allocation gate — then the
+  # scan micro-bench at 100k candidates / 13 shards, which exits nonzero
+  # unless every benchmarked tweet extracts the same mentions as a 1-shard
+  # state and the byte tally equals its reference walk. JSON lands in
+  # build/bench/BENCH_micro.json.
   ctest --test-dir build --output-on-failure -L scan
   (cd build/bench && ./bench_micro_core --scan-only)
 fi

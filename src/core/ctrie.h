@@ -4,7 +4,10 @@
 // Extraction step (§V-A).
 //
 // Nodes correspond to (case-folded) tokens; candidates sharing prefixes share
-// subtrees. A node may mark the end of a registered candidate.
+// subtrees. A node may mark the end of a registered candidate. Edges are
+// labelled by the tokens' dense int32 symbols in a SymbolTable (possibly
+// shared by several tries): each node keeps one sorted (symbol, child)
+// array, and each edge holds one reference on its symbol.
 //
 // Memory governance (unbounded streams): Prune() evicts a registered
 // candidate — it unmarks the terminal node, deletes the now-empty suffix
@@ -25,12 +28,8 @@
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
-
-#include "text/token.h"
-#include "util/string_util.h"
 
 namespace emd {
 
@@ -42,7 +41,9 @@ class CTrie {
   static constexpr int kNoNode = -1;
   static constexpr int kNoCandidate = -1;
 
-  CTrie();
+  /// `symbols` labels the edges; not owned, must be non-null and outlive the
+  /// trie.
+  explicit CTrie(SymbolTable* symbols);
 
   // Move-only: a copied vector or string gets a fresh capacity, which would
   // silently invalidate the running byte tally behind ApproxBytes().
@@ -55,51 +56,27 @@ class CTrie {
   /// Returns its stable candidate id; re-inserting returns the existing id.
   int Insert(const std::vector<std::string>& tokens);
 
-  /// Convenience: registers the tokens covered by `span`.
-  int Insert(const std::vector<Token>& tokens, const TokenSpan& span);
+  /// Insert for tokens that are already case-folded, with `key` their
+  /// space-joined form (the sharded state folds once to route the phrase and
+  /// hands both over).
+  int InsertFolded(const std::vector<std::string>& folded, std::string key);
 
   /// Root handle for traversals.
   int root() const { return 0; }
 
   /// Follows the edge labelled by the case-folded `token` from `node`;
-  /// returns kNoNode when no such path exists.
+  /// returns kNoNode when no such path exists (a token that is not interned
+  /// labels no edge). Cold path: scan loops intern each token once and call
+  /// StepSymbol.
   int Step(int node, std::string_view token) const;
 
-  /// Allocation-free Step for scan loops: folds `token` through the caller's
-  /// reusable `fold_scratch` (only touched when the token has uppercase
-  /// ASCII) and looks the edge up heterogeneously — zero heap allocations in
-  /// steady state once the scratch capacity covers the longest token.
-  int Step(int node, std::string_view token, std::string* fold_scratch) const;
-
-  /// Pre-folded Step: `folded` must already be case-folded (the scan folds
-  /// each token once per tweet, not once per window start). Skips the
-  /// redundant uppercase re-check inside Step; zero allocations.
-  int StepFolded(int node, std::string_view folded) const {
-    const auto& children = nodes_[node].children;
-    auto it = children.find(folded);
-    return it == children.end() ? kNoNode : it->second;
-  }
-
-  // --- Interned-symbol edges (EMD_MATCHER=interned fast path) ------------
-
-  /// Attaches a shared symbol table. Every edge of every node is then also
-  /// indexed by its token's dense int32 symbol (one table reference per
-  /// edge, taken on Insert and dropped on Prune), enabling StepSymbol. Must
-  /// be called while the trie is still empty — edges inserted earlier would
-  /// be invisible to the symbol index.
-  void BindSymbolTable(SymbolTable* symbols);
-
-  /// Integer-keyed Step: follows the edge whose token interned to `sym`;
-  /// kNoNode when absent. Requires a bound symbol table. A binary search
-  /// over the node's sorted (symbol, child) array — no hashing, no string
-  /// compare, no allocation.
+  /// Follows the edge whose token interned to `sym`; kNoNode when absent
+  /// (always for SymbolTable::kNoSymbol). A binary search over the node's
+  /// sorted (symbol, child) array — no hashing, no string compare, no
+  /// allocation.
   int StepSymbol(int node, int32_t sym) const {
     const auto& edges = nodes_[node].sym_edges;
-    auto it = std::lower_bound(
-        edges.begin(), edges.end(), sym,
-        [](const std::pair<int32_t, int32_t>& e, int32_t s) {
-          return e.first < s;
-        });
+    auto it = LowerBound(edges, sym);
     return (it != edges.end() && it->first == sym) ? it->second : kNoNode;
   }
 
@@ -121,12 +98,13 @@ class CTrie {
   int Find(const std::vector<std::string>& tokens) const;
 
   /// Evicts `candidate_id`: the terminal node is unmarked, nodes on its path
-  /// that now carry no candidate and no children are unlinked and recycled,
-  /// and the id is tombstoned (CandidateKey/CandidateLength become
-  /// empty / 0; lookups of the phrase miss). Returns the number of trie
-  /// nodes freed. Safe on shared prefixes: a node that still serves another
-  /// candidate or subtree survives. No-op (returns 0) for an already-pruned
-  /// id. Caller must hold the single-writer contract (no concurrent Step).
+  /// that now carry no candidate and no children are unlinked and recycled
+  /// (releasing their edges' symbols), and the id is tombstoned
+  /// (CandidateKey/CandidateLength become empty / 0; lookups of the phrase
+  /// miss). Returns the number of trie nodes freed. Safe on shared prefixes:
+  /// a node that still serves another candidate or subtree survives. No-op
+  /// (returns 0) for an already-pruned id. Caller must hold the
+  /// single-writer contract (no concurrent Step).
   int Prune(int candidate_id);
 
   /// True when `candidate_id` was pruned. Ids stay dense; tombstoned slots
@@ -150,17 +128,18 @@ class CTrie {
     return static_cast<int>(nodes_.size() - free_nodes_.size());
   }
 
-  /// Approximate heap bytes held by the trie: node slots, edge map entries,
-  /// and candidate key strings — an estimate for the memory governor's
-  /// budget accounting, not an allocator-exact figure. O(1): the per-node,
-  /// per-edge and per-key terms are a running tally kept by every mutation
-  /// (AllocNode, Insert, Prune, AppendTombstone); vector capacities are read
-  /// at query time. Always equal to RecountApproxBytes().
+  /// Approximate heap bytes held by the trie: node slots, edge arrays and
+  /// candidate key strings (a token's text is counted once, in the
+  /// SymbolTable) — an estimate for the memory governor's budget accounting,
+  /// not an allocator-exact figure. O(1): the edge-array and key terms are a
+  /// running tally kept by every mutation (Insert, Prune, AppendTombstone);
+  /// vector capacities are read at query time. Always equal to
+  /// RecountApproxBytes().
   size_t ApproxBytes() const { return FixedBytes() + tallied_bytes_; }
 
-  /// Reference implementation of ApproxBytes(): walks every node, edge and
-  /// key, O(nodes). Tests check the running tally against it; no cycle path
-  /// calls it.
+  /// Reference implementation of ApproxBytes(): walks every node and key,
+  /// O(nodes). Tests check the running tally against it; no cycle path calls
+  /// it.
   size_t RecountApproxBytes() const;
 
   /// Longest depth of any registered candidate (scan window bound k of
@@ -169,31 +148,26 @@ class CTrie {
   int max_candidate_length() const { return max_len_; }
 
  private:
+  using Edge = std::pair<int32_t, int32_t>;  // (symbol, child)
+
   struct Node {
-    // Transparent hash/eq: Step() probes edges with a string_view key, so
-    // the scan hot path never materialises a temporary std::string.
-    std::unordered_map<std::string, int, TransparentStringHash,
-                       TransparentStringEq>
-        children;
-    // Mirror of `children` keyed by interned symbol, sorted ascending; empty
-    // unless a symbol table is bound. StepSymbol's integer fast path.
-    std::vector<std::pair<int32_t, int32_t>> sym_edges;
+    std::vector<Edge> sym_edges;  // sorted ascending by symbol
     int candidate_id = kNoCandidate;
   };
-  // Growing nodes_ must move nodes (keeping every bucket array and edge-array
-  // capacity the byte tally counted), never copy them.
+  // Growing nodes_ must move nodes (keeping every edge-array capacity the
+  // byte tally counted), never copy them.
   static_assert(std::is_nothrow_move_constructible_v<Node>);
 
-  /// Heap bytes of one node slot outside its edge entries: the edge map's
-  /// bucket array and the symbol-edge array.
-  static size_t NodeBytes(const Node& node) {
-    return node.children.bucket_count() * sizeof(void*) +
-           node.sym_edges.capacity() * sizeof(std::pair<int32_t, int32_t>);
+  static std::vector<Edge>::const_iterator LowerBound(
+      const std::vector<Edge>& edges, int32_t sym) {
+    return std::lower_bound(
+        edges.begin(), edges.end(), sym,
+        [](const Edge& e, int32_t s) { return e.first < s; });
   }
-  /// Heap bytes of one edge map entry (key string + child id + bookkeeping).
-  static size_t EdgeBytes(const std::string& token) {
-    return 2 * sizeof(void*) + sizeof(int) + sizeof(std::string) +
-           token.capacity();
+
+  /// Heap bytes of one node slot: its edge array.
+  static size_t NodeBytes(const Node& node) {
+    return node.sym_edges.capacity() * sizeof(Edge);
   }
   /// The O(1) part of the byte figure: capacities of the flat vectors.
   size_t FixedBytes() const {
@@ -205,19 +179,17 @@ class CTrie {
   }
 
   int AllocNode();
-  void AddSymEdge(int node, std::string_view folded, int child);
-  void RemoveSymEdge(int node, std::string_view folded);
 
+  SymbolTable* symbols_;  // not owned
   std::vector<Node> nodes_;
-  std::vector<int> free_nodes_;  // recycled slots from Prune
+  std::vector<int> free_nodes_;  // recycled slots from Prune (empty nodes)
   std::vector<std::string> candidate_keys_;
   std::vector<int> candidate_lengths_;
   std::vector<uint8_t> tombstoned_;
   int num_tombstones_ = 0;
   int max_len_ = 0;
-  SymbolTable* symbols_ = nullptr;  // not owned; null = no symbol index
-  // Running sum of NodeBytes over every slot (free-listed ones included),
-  // EdgeBytes over every edge and the capacity of every candidate key.
+  // Running sum of NodeBytes over every slot and the capacity of every
+  // candidate key.
   size_t tallied_bytes_ = 0;
 };
 

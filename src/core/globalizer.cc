@@ -106,7 +106,7 @@ Globalizer::Globalizer(LocalEmdSystem* system, const PhraseEmbedder* phrase_embe
       phrase_embedder_(phrase_embedder),
       classifier_(classifier),
       options_(options),
-      state_(options.shard_count, options.matcher),
+      state_(options.shard_count),
       governor_(&state_, &tweets_, options.memory),
       clock_(options.resilience.clock != nullptr ? options.resilience.clock
                                                  : Clock::Real()),

@@ -148,13 +148,9 @@ struct GlobalizerOptions {
   /// fight over the same gauge.
   bool publish_shard_gauges = true;
 
-  /// Candidate-scan matcher (DESIGN §12). kAuto resolves the EMD_MATCHER
-  /// environment variable: "legacy" selects the lockstep per-shard trie
-  /// walk, anything else the interned-symbol matcher (first-token dispatch +
-  /// int32 edge walk). Both produce bit-identical mention sets at any
-  /// shard/thread count — the hatch exists for A/B runs and bisection.
+  /// Read by nothing: kept only while e2ebench/ still sets it (ROADMAP item 5).
   ShardedGlobalState::MatcherKind matcher =
-      ShardedGlobalState::MatcherKind::kAuto;
+      ShardedGlobalState::MatcherKind::kInterned;
 };
 
 /// Final framework output plus diagnostics.

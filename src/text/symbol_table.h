@@ -2,10 +2,10 @@
 //
 // The global re-scan (§V-A) used to probe one string-keyed hash map per trie
 // edge per shard. Interning every distinct folded token to a dense int32
-// symbol turns those probes into integer compares: the CTrie keeps a sorted
-// (symbol, child) edge array per node, and the scan loop touches only
-// int32[] once each token of a batch has been folded + interned exactly once
-// (docs/SHARDING.md, DESIGN §12).
+// symbol turns those probes into integer compares: the CTrie's only edge
+// index is a sorted (symbol, child) array per node, and the scan loop
+// touches only int32[] once each token of a batch has been folded + interned
+// exactly once (docs/SHARDING.md, DESIGN §12).
 //
 // Lifecycle: symbols are reference-counted by the trie edges that carry
 // them. Acquire() interns (or revives) a token and takes one reference;

@@ -1,18 +1,20 @@
-// Interned-symbol candidate matcher tests (DESIGN §12, ctest label `scan`):
-// SymbolTable refcount/recycle semantics, CTrie symbol edges agreeing with
-// the string-keyed edges, bit-identity between the legacy lockstep scan and
-// the interned first-token-dispatch scan — on fixed corpora, under a
-// randomized fuzz with insert/evict/rebuild churn and non-ASCII tokens, and
-// through the Globalizer across shard counts {1,4,13} x thread counts {1,4}
-// — plus eviction unregistering dispatch/symbol state, checkpoint restore
-// rebuilding the symbol table, the EMD_MATCHER escape hatch, and a
-// zero-steady-state-allocation guarantee for both scan loops.
+// Candidate matcher tests (DESIGN §12, ctest label `scan`): SymbolTable
+// refcount/recycle semantics, CTrie's cold-path Step agreeing with the
+// symbol-keyed StepSymbol, the first-token-dispatch scan agreeing with a
+// test-local brute-force longest-match oracle (a map from folded key to gid)
+// — on fixed corpora, and under a randomized fuzz with insert/evict/rebuild
+// churn and non-ASCII tokens at shard counts {1,4,13} — a golden mention
+// digest through the Globalizer across shard counts {1,4,13} x thread counts
+// {1,4}, eviction unregistering dispatch/symbol state, checkpoint restore
+// rebuilding the symbol table, and a zero-steady-state-allocation guarantee
+// for the scan loop.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
 #include <new>
 #include <string>
 #include <vector>
@@ -54,8 +56,6 @@ void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 namespace emd {
 namespace {
 
-using MK = ShardedGlobalState::MatcherKind;
-
 std::vector<Token> Toks(const std::string& text) {
   std::vector<Token> out;
   for (const std::string& w : Split(text)) {
@@ -78,6 +78,40 @@ void ExpectSameMentions(const std::vector<ExtractedMention>& expected,
     EXPECT_EQ(expected[i].candidate_id, actual[i].candidate_id)
         << what << " mention " << i;
   }
+}
+
+// Case-folded, space-joined candidate key of a phrase ("andy beshear").
+std::string FoldedKey(const std::vector<std::string>& words) {
+  std::string key;
+  for (const std::string& w : words) {
+    if (!key.empty()) key += ' ';
+    key += ToLowerAscii(w);
+  }
+  return key;
+}
+
+// Brute-force longest-match reference for the re-scan of §V-A: at each start
+// it tries every window from the longest down and looks its folded key up in
+// `keys` (folded key -> gid). Shares nothing with the trie, the symbol table
+// or the dispatch table.
+std::vector<ExtractedMention> OracleExtract(
+    const std::map<std::string, int>& keys, const std::vector<Token>& tokens) {
+  std::vector<ExtractedMention> out;
+  size_t i = 0;
+  while (i < tokens.size()) {
+    size_t end = tokens.size();
+    for (; end > i; --end) {
+      std::vector<std::string> window;
+      for (size_t t = i; t < end; ++t) window.push_back(tokens[t].text);
+      auto it = keys.find(FoldedKey(window));
+      if (it != keys.end()) {
+        out.push_back({{i, end}, it->second});
+        break;
+      }
+    }
+    i = end > i ? end : i + 1;
+  }
+  return out;
 }
 
 // ----------------------------------------------------------- SymbolTable --
@@ -110,17 +144,15 @@ TEST(SymbolTableTest, AcquireLookupReleaseRecyclesIds) {
 
 // --------------------------------------------------- CTrie symbol edges --
 
-TEST(CTrieSymbolTest, StepSymbolAndStepFoldedAgreeWithStep) {
+TEST(CTrieSymbolTest, StepSymbolAgreesWithStep) {
   SymbolTable syms;
-  CTrie trie;
-  trie.BindSymbolTable(&syms);
+  CTrie trie(&syms);
   trie.Insert({"new", "york"});
   trie.Insert({"new", "york", "times"});
   trie.Insert({"boston"});
 
   const int n1 = trie.Step(trie.root(), "New");
   ASSERT_NE(n1, CTrie::kNoNode);
-  EXPECT_EQ(trie.StepFolded(trie.root(), "new"), n1);
   EXPECT_EQ(trie.StepSymbol(trie.root(), syms.Lookup("new")), n1);
   EXPECT_EQ(trie.RootChildForSymbol(syms.Lookup("new")), n1);
 
@@ -134,14 +166,15 @@ TEST(CTrieSymbolTest, StepSymbolAndStepFoldedAgreeWithStep) {
   EXPECT_EQ(syms.Lookup("chicago"), SymbolTable::kNoSymbol);
   EXPECT_EQ(trie.StepSymbol(trie.root(), SymbolTable::kNoSymbol),
             CTrie::kNoNode);
+  EXPECT_EQ(trie.Step(trie.root(), "Chicago"), CTrie::kNoNode);
   // A symbol that exists but labels no edge at this node.
   EXPECT_EQ(trie.StepSymbol(n1, syms.Lookup("boston")), CTrie::kNoNode);
+  EXPECT_EQ(trie.Step(n1, "BOSTON"), CTrie::kNoNode);
 }
 
 TEST(CTrieSymbolTest, PruneReleasesSymbolsWithTheirEdges) {
   SymbolTable syms;
-  CTrie trie;
-  trie.BindSymbolTable(&syms);
+  CTrie trie(&syms);
   const int ny = trie.Insert({"new", "york"});
   const int nyt = trie.Insert({"new", "york", "times"});
   // Edges: new, york, times — "new"/"york" shared by both candidates.
@@ -173,30 +206,31 @@ TEST(ScanMatcherTest, FixedCorpusIdenticalAcrossMatchersAndShardCounts) {
       "andy",
       "",
   };
-  ShardedGlobalState reference(1, MK::kLegacy);
-  for (const auto& p : phrases) reference.Insert(p);
+  std::map<std::string, int> oracle;
+  for (const auto& p : phrases) {
+    oracle.emplace(FoldedKey(p), static_cast<int>(oracle.size()));
+  }
   for (int shards : {1, 4, 13}) {
-    for (MK kind : {MK::kLegacy, MK::kInterned}) {
-      ShardedGlobalState state(shards, kind);
-      for (const auto& p : phrases) state.Insert(p);
-      for (const std::string& text : corpus) {
-        const auto tokens = Toks(text);
-        ExpectSameMentions(reference.Extract(tokens), state.Extract(tokens),
-                           "shards=" + std::to_string(shards) + " matcher=" +
-                               (kind == MK::kLegacy ? "legacy" : "interned") +
-                               " tweet '" + text + "'");
-      }
+    ShardedGlobalState state(shards);
+    for (const auto& p : phrases) state.Insert(p);
+    for (const std::string& text : corpus) {
+      const auto tokens = Toks(text);
+      ExpectSameMentions(OracleExtract(oracle, tokens), state.Extract(tokens),
+                         "shards=" + std::to_string(shards) + " tweet '" +
+                             text + "'");
     }
   }
 }
 
 // ------------------------------------------------------------- fuzzing --
 
-// Randomized churn: every state (3 shard counts x 2 matchers) receives the
-// identical insert/evict/scan sequence; every scan must agree with the
-// 1-shard legacy reference. Vocabulary includes non-ASCII tokens (ASCII-only
-// case folding must still match byte-for-byte) and tweets inject registered
-// phrases under random casing between in-vocab and out-of-vocab noise.
+// Randomized churn: every state (3 shard counts) receives the identical
+// insert/evict/scan sequence; every insert must return the oracle's gid and
+// every scan must agree with the brute-force oracle, whose key map the test
+// updates on every insert and prune. Vocabulary includes non-ASCII tokens
+// (ASCII-only case folding must still match byte-for-byte) and tweets inject
+// registered phrases under random casing between in-vocab and out-of-vocab
+// noise.
 // After every insert, pooled mention, eviction, prune and restored record,
 // the O(1) byte tallies must equal the reference walks exactly.
 TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
@@ -210,12 +244,13 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   const std::vector<int> shard_counts = {1, 4, 13};
   std::vector<std::unique_ptr<ShardedGlobalState>> states;
   for (int sc : shard_counts) {
-    states.push_back(std::make_unique<ShardedGlobalState>(sc, MK::kLegacy));
-    states.push_back(std::make_unique<ShardedGlobalState>(sc, MK::kInterned));
+    states.push_back(std::make_unique<ShardedGlobalState>(sc));
     // Retained per-mention embeddings exercise the last byte-relevant field.
     states.back()->set_retain_mention_embeddings(true);
   }
   ShardedGlobalState& reference = *states[0];
+  std::map<std::string, int> oracle;  // folded key -> gid
+  int next_gid = 0;
   auto check_accounting = [&](const std::string& step) {
     for (size_t s = 0; s < states.size(); ++s) {
       ExpectExactAccounting(*states[s], step + ", state " + std::to_string(s));
@@ -258,11 +293,13 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
     // stay equal across shard counts: discovery-order assignment).
     for (int k = 0; k < 24; ++k) {
       const auto phrase = random_phrase();
-      const int before = reference.num_candidates();
+      const auto [entry, fresh] = oracle.emplace(FoldedKey(phrase), next_gid);
+      if (fresh) ++next_gid;
       const std::string step =
           "round " + std::to_string(round) + " insert " + std::to_string(k);
       for (auto& state : states) {
         const int gid = state->Insert(phrase);
+        EXPECT_EQ(gid, entry->second) << step;
         state->GetOrCreate(gid);
         ExpectExactAccounting(*state, step);
         state->AddMention(
@@ -270,7 +307,7 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
             embedding);
       }
       check_accounting(step + " + mention");
-      if (reference.num_candidates() > before) registered.push_back(phrase);
+      if (fresh) registered.push_back(phrase);
     }
     // Evict + prune a few random live gids from every state (the memory
     // governor's order of operations).
@@ -284,13 +321,14 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
         ExpectExactAccounting(*state, step);
         state->Prune(gid);
       }
+      std::erase_if(oracle, [gid](const auto& kv) { return kv.second == gid; });
       check_accounting(step + " + prune");
     }
-    // Scan: every state must reproduce the reference exactly.
+    // Scan: every state must reproduce the oracle exactly.
     for (int t = 0; t < 32; ++t) {
       const auto tokens = random_tweet();
-      const auto expected = reference.Extract(tokens);
-      for (size_t s = 1; s < states.size(); ++s) {
+      const auto expected = OracleExtract(oracle, tokens);
+      for (size_t s = 0; s < states.size(); ++s) {
         ExpectSameMentions(
             expected, states[s]->Extract(tokens),
             "round " + std::to_string(round) + " state " + std::to_string(s));
@@ -303,31 +341,28 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
   // Rebuild-restore interleaving: reconstruct each layout the way checkpoint
   // restore does (live keys re-inserted in gid order, tombstones appended as
   // holes, then the live records installed) and require the rebuilt scan to
-  // still match the live reference — this is exactly the path that rebuilds
-  // the symbol table from the tries.
+  // still match the oracle — this is exactly the path that rebuilds the
+  // symbol table from the tries.
   for (int sc : shard_counts) {
-    for (MK kind : {MK::kLegacy, MK::kInterned}) {
-      ShardedGlobalState rebuilt(sc, kind);
-      const std::string where = "rebuilt shards=" + std::to_string(sc);
-      for (int gid = 0; gid < reference.num_candidates(); ++gid) {
-        if (reference.IsTombstone(gid)) {
-          rebuilt.AppendTombstone();
-        } else {
-          rebuilt.Insert(Split(reference.CandidateKey(gid)));
-        }
-        ExpectExactAccounting(rebuilt, where + " gid " + std::to_string(gid));
+    ShardedGlobalState rebuilt(sc);
+    const std::string where = "rebuilt shards=" + std::to_string(sc);
+    for (int gid = 0; gid < reference.num_candidates(); ++gid) {
+      if (reference.IsTombstone(gid)) {
+        rebuilt.AppendTombstone();
+      } else {
+        rebuilt.Insert(Split(reference.CandidateKey(gid)));
       }
-      for (int gid = 0; gid < reference.num_candidates(); ++gid) {
-        if (!reference.Contains(gid)) continue;
-        rebuilt.Restore(gid, reference.at(gid));
-        ExpectExactAccounting(rebuilt,
-                              where + " record " + std::to_string(gid));
-      }
-      for (int t = 0; t < 16; ++t) {
-        const auto tokens = random_tweet();
-        ExpectSameMentions(reference.Extract(tokens), rebuilt.Extract(tokens),
-                           "rebuilt shards=" + std::to_string(sc));
-      }
+      ExpectExactAccounting(rebuilt, where + " gid " + std::to_string(gid));
+    }
+    for (int gid = 0; gid < reference.num_candidates(); ++gid) {
+      if (!reference.Contains(gid)) continue;
+      rebuilt.Restore(gid, reference.at(gid));
+      ExpectExactAccounting(rebuilt, where + " record " + std::to_string(gid));
+    }
+    for (int t = 0; t < 16; ++t) {
+      const auto tokens = random_tweet();
+      ExpectSameMentions(OracleExtract(oracle, tokens), rebuilt.Extract(tokens),
+                         where);
     }
   }
 }
@@ -335,7 +370,7 @@ TEST(ScanMatcherFuzzTest, BitIdentityUnderInsertEvictChurn) {
 // ------------------------------------------- eviction unregisters index --
 
 TEST(ScanMatcherTest, PruneUnregistersDispatchAndRecyclesSymbols) {
-  ShardedGlobalState state(1, MK::kInterned);
+  ShardedGlobalState state(1);
   const int g1 = state.Insert({"shared", "alpha"});
   const int g2 = state.Insert({"shared", "beta"});
   state.Insert({"solo"});
@@ -416,29 +451,21 @@ Dataset ScanStream(int copies) {
 }
 
 TEST(ScanMatcherPipelineTest, DigestIdenticalAcrossMatchersShardsThreads) {
-  uint32_t baseline = 0;
-  bool have_baseline = false;
-  for (MK kind : {MK::kLegacy, MK::kInterned}) {
-    for (int shards : {1, 4, 13}) {
-      for (int threads : {1, 4}) {
-        GlobalizerOptions opt;
-        opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
-        opt.batch_size = 8;
-        opt.shard_count = shards;
-        opt.num_threads = threads;
-        opt.matcher = kind;
-        MockLocalSystem mock(ScanRules());
-        Globalizer g(&mock, nullptr, nullptr, opt);
-        ASSERT_TRUE(g.Run(ScanStream(6)).ok());
-        const uint32_t digest = MentionDigest(g.Finalize().value());
-        if (!have_baseline) {
-          baseline = digest;
-          have_baseline = true;
-        }
-        EXPECT_EQ(digest, baseline)
-            << "matcher=" << (kind == MK::kLegacy ? "legacy" : "interned")
-            << " shards=" << shards << " threads=" << threads;
-      }
+  // Recorded while the legacy lockstep matcher still existed: both matchers
+  // produced this digest at every point of the matrix.
+  constexpr uint32_t kGoldenDigest = 0x69769fe7;
+  for (int shards : {1, 4, 13}) {
+    for (int threads : {1, 4}) {
+      GlobalizerOptions opt;
+      opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
+      opt.batch_size = 8;
+      opt.shard_count = shards;
+      opt.num_threads = threads;
+      MockLocalSystem mock(ScanRules());
+      Globalizer g(&mock, nullptr, nullptr, opt);
+      ASSERT_TRUE(g.Run(ScanStream(6)).ok());
+      EXPECT_EQ(MentionDigest(g.Finalize().value()), kGoldenDigest)
+          << "shards=" << shards << " threads=" << threads;
     }
   }
 }
@@ -448,7 +475,6 @@ TEST(ScanMatcherPipelineTest, CheckpointRestoreRebuildsSymbolTable) {
   GlobalizerOptions opt;
   opt.mode = GlobalizerOptions::Mode::kMentionExtraction;
   opt.shard_count = 4;
-  opt.matcher = MK::kLegacy;
   MockLocalSystem mock(ScanRules());
   Globalizer g(&mock, nullptr, nullptr, opt);
   ASSERT_TRUE(g.Run(ScanStream(3)).ok());
@@ -456,13 +482,11 @@ TEST(ScanMatcherPipelineTest, CheckpointRestoreRebuildsSymbolTable) {
   ASSERT_TRUE(g.Run(ScanStream(2)).ok());
   const uint32_t want = MentionDigest(g.Finalize().value());
 
-  // Restore into a different shard count with the interned matcher: the
-  // symbol table and dispatch table rebuild from the re-inserted keys (the
-  // v5 format carries no symbol section), and the continued stream must
-  // produce the identical mentions.
+  // Restore into a different shard count: the symbol table and dispatch
+  // table rebuild from the re-inserted keys (the v5 format carries no symbol
+  // section), and the continued stream must produce the identical mentions.
   GlobalizerOptions ropt = opt;
   ropt.shard_count = 13;
-  ropt.matcher = MK::kInterned;
   MockLocalSystem rmock(ScanRules());
   Globalizer restored(&rmock, nullptr, nullptr, ropt);
   ASSERT_TRUE(restored.RestoreCheckpoint(path).ok());
@@ -472,82 +496,56 @@ TEST(ScanMatcherPipelineTest, CheckpointRestoreRebuildsSymbolTable) {
   std::filesystem::remove(path);
 }
 
-// --------------------------------------------------- EMD_MATCHER hatch --
-
-TEST(ScanMatcherTest, MatcherResolvesFromEnvironment) {
-  unsetenv("EMD_MATCHER");
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kAuto), MK::kInterned);
-  setenv("EMD_MATCHER", "legacy", 1);
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kAuto), MK::kLegacy);
-  // Explicit kinds win over the environment.
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kInterned), MK::kInterned);
-  {
-    ShardedGlobalState state(2);
-    EXPECT_EQ(state.matcher(), MK::kLegacy);
-  }
-  setenv("EMD_MATCHER", "interned", 1);
-  EXPECT_EQ(ShardedGlobalState::ResolveMatcher(MK::kAuto), MK::kInterned);
-  {
-    ShardedGlobalState state(2);
-    EXPECT_EQ(state.matcher(), MK::kInterned);
-  }
-  unsetenv("EMD_MATCHER");
-}
-
 // ------------------------------------------------ zero-allocation scan --
 
 TEST(ScanMatcherTest, SteadyStateScanIsAllocationFree) {
-  for (MK kind : {MK::kLegacy, MK::kInterned}) {
-    ShardedGlobalState state(4, kind);
-    Rng rng(77);
-    std::vector<std::vector<std::string>> phrases;
-    for (int i = 0; i < 200; ++i) {
-      std::vector<std::string> phrase(static_cast<size_t>(rng.NextInt(1, 3)));
-      for (auto& w : phrase) w = "word" + std::to_string(rng.NextInt(0, 120));
-      state.Insert(phrase);
-      phrases.push_back(std::move(phrase));
-    }
-    std::vector<std::vector<Token>> tweets;
-    for (int t = 0; t < 8; ++t) {
-      std::vector<Token> tokens;
-      while (tokens.size() < 16) {
-        for (const auto& w : phrases[rng.NextU64(phrases.size())]) {
-          Token tok;
-          tok.text = rng.NextBernoulli(0.5) ? ToUpperAscii(w) : w;
-          tokens.push_back(std::move(tok));
-        }
-        Token noise;
-        noise.text = "Noise" + std::to_string(rng.NextInt(0, 99));
-        tokens.push_back(std::move(noise));
-      }
-      tokens.resize(16);
-      tweets.push_back(std::move(tokens));
-    }
-
-    ShardedGlobalState::ScanScratch scratch;
-    std::vector<ExtractedMention> out;
-    size_t mentions = 0;
-    // Warm-up: scratch buffers and the output vector grow to steady state
-    // (and the obs counters lazily register).
-    for (int pass = 0; pass < 2; ++pass) {
-      for (const auto& tokens : tweets) {
-        state.ExtractInto(tokens, &scratch, &out);
-        mentions += out.size();
-      }
-    }
-    ASSERT_GT(mentions, 0u);  // the loop under test does real matching
-
-    const long before = g_allocations.load(std::memory_order_relaxed);
-    for (int pass = 0; pass < 5; ++pass) {
-      for (const auto& tokens : tweets) {
-        state.ExtractInto(tokens, &scratch, &out);
-      }
-    }
-    const long after = g_allocations.load(std::memory_order_relaxed);
-    EXPECT_EQ(after - before, 0)
-        << (kind == MK::kLegacy ? "legacy" : "interned")
-        << " scan allocated in steady state";
+  ShardedGlobalState state(4);
+  Rng rng(77);
+  std::vector<std::vector<std::string>> phrases;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<std::string> phrase(static_cast<size_t>(rng.NextInt(1, 3)));
+    for (auto& w : phrase) w = "word" + std::to_string(rng.NextInt(0, 120));
+    state.Insert(phrase);
+    phrases.push_back(std::move(phrase));
   }
+  std::vector<std::vector<Token>> tweets;
+  for (int t = 0; t < 8; ++t) {
+    std::vector<Token> tokens;
+    while (tokens.size() < 16) {
+      for (const auto& w : phrases[rng.NextU64(phrases.size())]) {
+        Token tok;
+        tok.text = rng.NextBernoulli(0.5) ? ToUpperAscii(w) : w;
+        tokens.push_back(std::move(tok));
+      }
+      Token noise;
+      noise.text = "Noise" + std::to_string(rng.NextInt(0, 99));
+      tokens.push_back(std::move(noise));
+    }
+    tokens.resize(16);
+    tweets.push_back(std::move(tokens));
+  }
+
+  ShardedGlobalState::ScanScratch scratch;
+  std::vector<ExtractedMention> out;
+  size_t mentions = 0;
+  // Warm-up: scratch buffers and the output vector grow to steady state
+  // (and the obs counters lazily register).
+  for (int pass = 0; pass < 2; ++pass) {
+    for (const auto& tokens : tweets) {
+      state.ExtractInto(tokens, &scratch, &out);
+      mentions += out.size();
+    }
+  }
+  ASSERT_GT(mentions, 0u);  // the loop under test does real matching
+
+  const long before = g_allocations.load(std::memory_order_relaxed);
+  for (int pass = 0; pass < 5; ++pass) {
+    for (const auto& tokens : tweets) {
+      state.ExtractInto(tokens, &scratch, &out);
+    }
+  }
+  const long after = g_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << "scan allocated in steady state";
 }
 
 }  // namespace

@@ -170,7 +170,8 @@ TEST(ShardedGlobalStateTest, GidsAreDenseInDiscoveryOrderAtAnyShardCount) {
   }
   EXPECT_EQ(total, sharded.num_live_candidates());
 
-  // The lockstep multi-trie scan equals the single-trie scan.
+  // The sharded scan (first-token dispatch over every shard) equals the
+  // single-trie scan.
   const std::vector<Token> tokens =
       TweetTokenizer().Tokenize("Andy Beshear discussed the Coronavirus");
   const std::vector<ExtractedMention> from_single = single.Extract(tokens);
